@@ -10,6 +10,7 @@ namespace nestsim {
 void CfsPolicy::Attach(Kernel* kernel) {
   SchedulerPolicy::Attach(kernel);
   ql_memo_.assign(kernel->topology().num_cpus(), QuantisedLoadMemo{});
+  fork_memo_ = ForkMemo{};
 }
 
 int CfsPolicy::QuantisedLoad(int cpu) {
@@ -78,6 +79,11 @@ int CfsPolicy::FindIdlestCpu(const std::vector<int>& span, int origin) {
 
 int CfsPolicy::ForkPath(const Task& child, int parent_cpu) {
   (void)child;
+  const SimTime now = kernel_->engine().Now();
+  if (fork_memo_.now == now && fork_memo_.parent_cpu == parent_cpu &&
+      fork_memo_.sched_gen == kernel_->sched_gen()) {
+    return fork_memo_.cpu;
+  }
   const DomainTree& tree = kernel_->domains();
   const SchedDomain* domain = &tree.Top();
   int cpu = parent_cpu;
@@ -124,6 +130,7 @@ int CfsPolicy::ForkPath(const Task& child, int parent_cpu) {
     cpu = FindIdlestCpu(chosen->cpus, cpu);
     domain = tree.ChildContaining(*domain, cpu);
   }
+  fork_memo_ = {now, parent_cpu, kernel_->sched_gen(), cpu};
   return cpu;
 }
 

@@ -85,6 +85,21 @@ class CfsPolicy : public SchedulerPolicy {
     int value = 0;
   };
   std::vector<QuantisedLoadMemo> ql_memo_;
+
+  // The last fork descent's result. A request's fan-out forks many children
+  // from one parent CPU at one instant, and each enqueue lands
+  // placement_latency later, so the next descent would re-read exactly the
+  // same state. The descent's inputs are the per-CPU idle, nr_running and
+  // queued counts, placement load, utilisation and online state, all keyed
+  // by (instant, Kernel::sched_gen()); its only side effect — folding every
+  // CPU's utilisation to now — is a no-op at dt == 0.
+  struct ForkMemo {
+    SimTime now = -1;
+    int parent_cpu = -1;
+    uint64_t sched_gen = 0;
+    int cpu = -1;
+  };
+  ForkMemo fork_memo_;
 };
 
 }  // namespace nestsim

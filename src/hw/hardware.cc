@@ -1,6 +1,7 @@
 #include "src/hw/hardware.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -23,7 +24,11 @@ HardwareModel::HardwareModel(Engine* engine, const MachineSpec& spec)
       turbo_memo_(topology_.num_sockets()),
       socket_busy_gen_(topology_.num_sockets(), 0),
       power_memo_(topology_.num_sockets()),
-      socket_power_gen_(topology_.num_sockets(), 0) {
+      socket_power_gen_(topology_.num_sockets(), 0),
+      sweep_active_(static_cast<size_t>(topology_.num_physical_cores() + 63) / 64, 0) {
+  for (int phys = 0; phys < topology_.num_physical_cores(); ++phys) {
+    sweep_active_[phys >> 6] |= uint64_t{1} << (phys & 63);
+  }
   for (CoreState& core : cores_) {
     core.freq_ghz = spec_.min_freq_ghz;
     // Stale frequency observations start at nominal: the paper's runs follow
@@ -43,8 +48,19 @@ void HardwareModel::Start() {
 
 void HardwareModel::PeriodicUpdate() {
   AccumulateEnergy();
-  for (int phys = 0; phys < topology_.num_physical_cores(); ++phys) {
-    UpdateCoreFreq(phys);
+  const SimTime now = engine_->Now();
+  for (size_t word = 0; word < sweep_active_.size(); ++word) {
+    // A core woken during the sweep was updated at this instant already, so
+    // whether this copy of its word sees it or not makes no difference.
+    for (uint64_t bits = sweep_active_[word]; bits != 0; bits &= bits - 1) {
+      const int phys = static_cast<int>(word) * 64 + std::countr_zero(bits);
+      UpdateCoreFreq(phys);
+      const CoreState& core = cores_[phys];
+      if (core.busy_threads == 0 && core.freq_ghz == spec_.min_freq_ghz &&
+          now - core.idle_since >= spec_.idle_decay_delay) {
+        sweep_active_[word] &= ~(uint64_t{1} << (phys & 63));
+      }
+    }
   }
   engine_->ScheduleAfter(spec_.freq_update_period, [this] { PeriodicUpdate(); });
 }
@@ -129,34 +145,44 @@ double HardwareModel::TargetGhz(int phys) const {
   return target;
 }
 
+double HardwareModel::EmaDecay(double elapsed_ms) {
+  if (elapsed_ms != ema_memo_ms_) {
+    const double dt = elapsed_ms * static_cast<double>(kMillisecond);
+    ema_memo_decay_ = std::exp2(-dt / static_cast<double>(spec_.activity_halflife));
+    ema_memo_ms_ = elapsed_ms;
+  }
+  return ema_memo_decay_;
+}
+
 void HardwareModel::UpdateCoreFreq(int phys) {
   CoreState& core = cores_[phys];
   const SimTime now = engine_->Now();
+  if (Parked(phys)) {
+    // Replay the sweeps skipped since parking. On a settled core each one is
+    // EMA' = EMA * d + 0.0 * (1 - d), which is exactly EMA * d; once the EMA
+    // reaches +0.0 the rest are no-ops. The sweep at `now`, if it already
+    // ran, is left to the update below, exactly as if it had run first.
+    sweep_active_[phys >> 6] |= uint64_t{1} << (phys & 63);
+    const SimDuration period = spec_.freq_update_period;
+    const SimDuration skipped = now > core.last_freq_update
+                                    ? (now - core.last_freq_update - 1) / period
+                                    : 0;
+    if (skipped > 0) {
+      const double decay = EmaDecay(ToMilliseconds(period));
+      for (SimDuration k = 0; k < skipped && core.activity_ema != 0.0; ++k) {
+        core.activity_ema *= decay;
+      }
+      core.last_freq_update += skipped * period;
+    }
+  }
   const double elapsed_ms = ToMilliseconds(now - core.last_freq_update);
   core.last_freq_update = now;
   if (elapsed_ms <= 0.0) {
     return;
   }
-  // Absorbing state: a long-idle core with a fully drained activity EMA
-  // sitting at the floor frequency computes EMA' == +0.0, target == min, and
-  // moves nothing — only the timestamp (already advanced) matters. This makes
-  // the periodic sweep O(1) for the never-used cores of a lightly loaded
-  // machine.
-  if (core.busy_threads == 0 && core.activity_ema == 0.0 &&
-      core.freq_ghz == spec_.min_freq_ghz && now - core.idle_since >= spec_.idle_decay_delay) {
-    return;
-  }
   // Fold the elapsed interval into the C0-residency EMA before targeting.
   {
-    double decay;
-    if (elapsed_ms == ema_memo_ms_) {
-      decay = ema_memo_decay_;
-    } else {
-      const double dt = elapsed_ms * static_cast<double>(kMillisecond);
-      decay = std::exp2(-dt / static_cast<double>(spec_.activity_halflife));
-      ema_memo_ms_ = elapsed_ms;
-      ema_memo_decay_ = decay;
-    }
+    const double decay = EmaDecay(elapsed_ms);
     const double busy_now = core.busy_threads > 0 ? 1.0 : 0.0;
     core.activity_ema = core.activity_ema * decay + busy_now * (1.0 - decay);
   }

@@ -142,8 +142,13 @@ class HardwareModel {
   };
 
   // Moves one core's frequency toward its current target, given the elapsed
-  // time since its last update. Fires speed-change callbacks on change.
+  // time since its last update. Fires speed-change callbacks on change. A
+  // core the sweep parked first catches up on the sweeps it skipped and
+  // rejoins the sweep.
   void UpdateCoreFreq(int phys);
+  // 2^(-elapsed / activity_halflife), through the one-entry memo below.
+  double EmaDecay(double elapsed_ms);
+  bool Parked(int phys) const { return (sweep_active_[phys >> 6] >> (phys & 63) & 1) == 0; }
   double TargetGhz(int phys) const;
   void PeriodicUpdate();
   void NotifySpeedChange(int phys);
@@ -210,6 +215,17 @@ class HardwareModel {
   // (and hence the bit-identical exp2 result) repeats constantly.
   double ema_memo_ms_ = -1.0;
   double ema_memo_decay_ = 1.0;
+
+  // Physical cores the periodic sweep visits, one bit each, walked in
+  // ascending order. A core that is idle, at min_freq_ghz and idle for at
+  // least idle_decay_delay is *settled*: a sweep would only multiply its
+  // activity EMA by the period's decay and move its timestamp — no target,
+  // frequency, notification or memo changes. The sweep parks such a core by
+  // clearing its bit, and the core's next UpdateCoreFreq (SetThreadBusy or
+  // KickCpu) replays those multiplies, one per skipped sweep instant, before
+  // setting the bit again. Only the sweep parks, so a parked core's
+  // last_freq_update is always a sweep instant.
+  std::vector<uint64_t> sweep_active_;
 
   SimTime last_energy_update_ = 0;
   double energy_joules_ = 0.0;

@@ -17,7 +17,9 @@ namespace nestsim {
 
 class CpuMask {
  public:
-  // Largest machine in src/hw/machine_spec.cc is 160 CPUs; leave headroom.
+  // The largest machine in src/hw/machine_spec.cc, intel-8153-8s, has
+  // exactly this many CPUs (8 sockets x 16 cores x 2 threads); a test pins
+  // that every preset fits.
   static constexpr int kMaxCpus = 256;
 
   void Set(int cpu) { words_[Word(cpu)] |= Bit(cpu); }
@@ -34,6 +36,39 @@ class CpuMask {
 
   bool Any() const { return (words_[0] | words_[1] | words_[2] | words_[3]) != 0; }
   bool Empty() const { return !Any(); }
+
+  // Lowest member >= `cpu`, or -1 when there is none (always for `cpu` >=
+  // kMaxCpus). Calling it again with the previous result + 1 walks the mask
+  // in ascending order from any starting CPU.
+  int NextFrom(int cpu) const {
+    if (cpu >= kMaxCpus) {
+      return -1;
+    }
+    int word = Word(cpu);
+    uint64_t bits = words_[word] & (~uint64_t{0} << (cpu & 63));
+    while (bits == 0) {
+      if (++word == kWords) {
+        return -1;
+      }
+      bits = words_[word];
+    }
+    return word * 64 + std::countr_zero(bits);
+  }
+
+  CpuMask operator&(const CpuMask& other) const {
+    CpuMask out;
+    for (int w = 0; w < kWords; ++w) {
+      out.words_[w] = words_[w] & other.words_[w];
+    }
+    return out;
+  }
+  CpuMask operator~() const {
+    CpuMask out;
+    for (int w = 0; w < kWords; ++w) {
+      out.words_[w] = ~words_[w];
+    }
+    return out;
+  }
 
   int Count() const {
     return std::popcount(words_[0]) + std::popcount(words_[1]) + std::popcount(words_[2]) +

@@ -214,6 +214,13 @@ class Kernel {
   // Maintained incrementally; used by the underload metric.
   int runnable_tasks() const { return runnable_tasks_; }
 
+  // Bumped whenever any CPU's run-queue contents, running task or online
+  // state may have changed (every UpdateCpuMasks call). Within one instant,
+  // an unchanged generation means every per-CPU input of a placement scan —
+  // idle, nr_running, queued count, placement load, utilisation, online —
+  // is unchanged too, so CFS's fork descent can reuse its previous result.
+  uint64_t sched_gen() const { return sched_gen_; }
+
   // ---- Internal operations exposed for load-balancer reuse and tests. ----
 
   // Migrates a *queued* task from its run queue to `dst_cpu` (load-balancer
@@ -309,11 +316,13 @@ class Kernel {
   // observer notifications that follow (the work-conservation metric samples
   // the masks from inside those callbacks). Offline CPUs are pinned out of
   // both masks: they are neither idle (work conservation must not expect
-  // them to pull) nor overloaded (their queues are drained).
+  // them to pull) nor overloaded (their queues are drained). Also bumps
+  // sched_gen().
   void UpdateCpuMasks(int cpu) {
     const CpuState& cs = cpus_[cpu];
     idle_cpus_.Assign(cpu, cs.online && cs.rq.Idle());
     overloaded_cpus_.Assign(cpu, cs.online && cs.rq.QueuedCount() > 0);
+    ++sched_gen_;
   }
 
   // Observers subscribed to `event` (one ObserverEvent bit), in registration
@@ -352,6 +361,7 @@ class Kernel {
   int runnable_tasks_ = 0;
   uint64_t context_switches_ = 0;
   uint64_t migrations_ = 0;
+  uint64_t sched_gen_ = 0;
   bool started_ = false;
 };
 

@@ -33,7 +33,7 @@ int NestBudgetPolicy::SelectCommon(Task& task, int anchor_cpu, bool is_fork,
   int best = -1;
   int best_depth = 0;
   for (int cpu = 0; cpu < static_cast<int>(cores_.size()); ++cpu) {
-    if (!cores_[cpu].in_primary || topo.SocketOf(cpu) != socket) {
+    if (!InPrimary(cpu) || topo.SocketOf(cpu) != socket) {
       continue;
     }
     const int depth = kernel_->rq(cpu).QueuedCount() + (kernel_->CpuIdle(cpu) ? 0 : 1);
@@ -63,7 +63,7 @@ int NestBudgetPolicy::SelectCpuWake(Task& task, const WakeContext& ctx) {
   // primary mask. Skipping the base class's attach/prev-core ladder here is
   // what makes demotions stick — its §5.4 path re-adopts any idle previous
   // core into the primary, growing the mask right back.
-  if (task.prev_cpu >= 0 && cores_[task.prev_cpu].in_primary &&
+  if (task.prev_cpu >= 0 && InPrimary(task.prev_cpu) &&
       kernel_->CpuIdleUnclaimed(task.prev_cpu)) {
     task.placement_path = PlacementPath::kNestPrevCore;
     MarkUsed(task.prev_cpu);
@@ -92,7 +92,7 @@ void NestBudgetPolicy::OnTick() {
     int victim = -1;
     SimTime oldest = 0;
     for (int cpu = 0; cpu < static_cast<int>(cores_.size()); ++cpu) {
-      if (!cores_[cpu].in_primary || topo.SocketOf(cpu) != socket || !kernel_->CpuIdle(cpu)) {
+      if (!InPrimary(cpu) || topo.SocketOf(cpu) != socket || !kernel_->CpuIdle(cpu)) {
         continue;
       }
       if (victim < 0 || cores_[cpu].last_used < oldest) {

@@ -111,7 +111,7 @@ void NestCachePolicy::OnTick() {
   for (int socket = 0; socket < topo.num_sockets(); ++socket) {
     int count = 0;
     for (const int cpu : topo.CpusOnSocket(socket)) {
-      count += cores_[cpu].in_primary ? 1 : 0;
+      count += InPrimary(cpu) ? 1 : 0;
     }
     if (count > dominant_count) {  // ties keep the lowest socket
       dominant_count = count;
@@ -125,7 +125,7 @@ void NestCachePolicy::OnTick() {
   for (int cpu = 0; cpu < static_cast<int>(cores_.size()); ++cpu) {
     CoreInfo& core = cores_[cpu];
     const SimDuration limit = topo.SocketOf(cpu) == dominant ? graced_limit : base_limit;
-    if (core.in_primary && !core.compaction_eligible && kernel_->CpuIdle(cpu) &&
+    if (InPrimary(cpu) && !core.compaction_eligible && kernel_->CpuIdle(cpu) &&
         now - core.last_used >= limit) {
       core.compaction_eligible = true;
     }

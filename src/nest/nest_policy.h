@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/cfs/cfs_policy.h"
+#include "src/kernel/cpu_mask.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/policy.h"
 
@@ -67,25 +68,23 @@ class NestPolicy : public SchedulerPolicy {
     return params_.enable_placement_reservation;
   }
   int NestMembership(int cpu) const override {
-    return cores_[cpu].in_primary ? 2 : (cores_[cpu].in_reserve ? 1 : 0);
+    return InPrimary(cpu) ? 2 : (InReserve(cpu) ? 1 : 0);
   }
 
   const NestParams& params() const { return params_; }
 
   // Introspection for tests and metrics.
-  bool InPrimary(int cpu) const { return cores_[cpu].in_primary; }
-  bool InReserve(int cpu) const { return cores_[cpu].in_reserve; }
+  bool InPrimary(int cpu) const { return primary_.Test(cpu); }
+  bool InReserve(int cpu) const { return reserve_.Test(cpu); }
   bool CompactionEligible(int cpu) const { return cores_[cpu].compaction_eligible; }
-  int PrimarySize() const;
-  int ReserveSize() const { return reserve_size_; }
+  int PrimarySize() const { return primary_.Count(); }
+  int ReserveSize() const { return reserve_.Count(); }
 
  protected:
   // Subclass seam: NestCachePolicy (src/nest/nest_cache_policy.h) reuses the
   // membership management and searches, re-anchors selection toward a warm
   // LLC, and overrides the fallbacks to expand onto cache-cheap cores.
   struct CoreInfo {
-    bool in_primary = false;
-    bool in_reserve = false;
     bool compaction_eligible = false;
     SimTime last_used = 0;
   };
@@ -96,9 +95,10 @@ class NestPolicy : public SchedulerPolicy {
   virtual int SelectCommon(Task& task, int anchor_cpu, bool is_fork, const WakeContext& ctx);
 
   // Searches the primary nest for an idle unclaimed core: same die as
-  // `anchor` first, then the other dies; numerical order from `anchor`.
-  // Demotes compaction-eligible cores it touches along the way. With
-  // `anchor_die_only` the off-die pass is skipped entirely.
+  // `anchor` first, then the other dies; numerical order from `anchor`,
+  // wrapping around. Demotes compaction-eligible cores it touches along the
+  // way. With `anchor_die_only` the off-die pass is skipped entirely. Both
+  // searches walk only the nest's members (a CpuMask), never the machine.
   int SearchPrimary(int anchor, bool anchor_die_only = false);
   // Searches the reserve nest, starting from the fixed core (root_cpu),
   // anchored die first; `anchor_die_only` skips the off-die pass.
@@ -120,10 +120,11 @@ class NestPolicy : public SchedulerPolicy {
   NestParams params_;
   CfsPolicy cfs_;
   std::vector<CoreInfo> cores_;
-  // Reused by SearchPrimary/SearchReserve for the deferred off-die pass;
-  // member to avoid a per-search allocation.
-  std::vector<int> offdie_scratch_;
-  int reserve_size_ = 0;
+  // Nest membership, kept by the four Add/Remove helpers only.
+  CpuMask primary_;
+  CpuMask reserve_;
+  // CPUs of each socket, indexed by socket; fixed at Attach.
+  std::vector<CpuMask> die_cpus_;
 };
 
 }  // namespace nestsim

@@ -19,8 +19,9 @@ constexpr int kAbortCheckStride = 2048;
 
 // A persistent barrier-synchronized worker pool. Windows are short (one per
 // coordinator event), so threads are spawned once and handed work through a
-// generation counter; Dispatch() blocks until every worker finished the job
-// and rethrows the first exception a worker raised.
+// generation counter. The calling thread runs the job too instead of idling
+// through the workers' wake-up; Dispatch() blocks until every worker finished
+// it and rethrows the first exception raised (the caller's first).
 class DomainGroup::Pool {
  public:
   explicit Pool(int workers) : workers_(workers) {
@@ -43,7 +44,8 @@ class DomainGroup::Pool {
 
   int workers() const { return workers_; }
 
-  // Runs fn(worker_index) on every worker and waits for all of them.
+  // Runs fn(i) on every worker i and on the calling thread (i == workers()),
+  // and waits for all of them.
   void Dispatch(const std::function<void(int)>& fn) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -52,6 +54,14 @@ class DomainGroup::Pool {
       ++generation_;
     }
     work_cv_.notify_all();
+    // The workers hold references into the caller's frame until they report
+    // done, so a throwing caller must still wait for them.
+    std::exception_ptr caller_error;
+    try {
+      fn(workers_);
+    } catch (...) {
+      caller_error = std::current_exception();
+    }
     std::exception_ptr error;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -59,6 +69,9 @@ class DomainGroup::Pool {
       job_ = nullptr;
       error = error_;
       error_ = nullptr;
+    }
+    if (caller_error) {
+      std::rethrow_exception(caller_error);
     }
     if (error) {
       std::rethrow_exception(error);
@@ -228,15 +241,19 @@ DomainGroup::RunResult DomainGroup::RunWindowed(const RunOptions& options) {
     if (options.max_window > 0 && cursor + options.max_window < window_end) {
       window_end = cursor + options.max_window;  // heartbeat boundary
     }
-    // Pump every domain through its events with t <= window_end. Each domain
-    // is claimed by exactly one worker, so no engine is ever shared.
+    // Pump every domain through its events strictly before `pump_until`:
+    // through a heartbeat boundary, but only up to the coordinator instant —
+    // domain events *at* coord_time belong to the serial drain below, which
+    // alone fires that instant in canonical order. Each domain is claimed by
+    // exactly one thread (a worker or this one), so no engine is ever shared.
+    const SimTime pump_until = window_end < coord_time ? window_end + 1 : coord_time;
     std::atomic<int> next_domain{0};
     pool_->Dispatch([&](int) {
       int d;
       while ((d = next_domain.fetch_add(1, std::memory_order_relaxed)) < n) {
         Engine& engine = *domains_[static_cast<size_t>(d)];
         int until_check = kAbortCheckStride;
-        while (engine.NextEventTime() <= window_end) {
+        while (engine.NextEventTime() < pump_until) {
           if (--until_check <= 0) {
             until_check = kAbortCheckStride;
             if (abort_flag.load(std::memory_order_relaxed)) {
@@ -266,11 +283,13 @@ DomainGroup::RunResult DomainGroup::RunWindowed(const RunOptions& options) {
       continue;  // heartbeat only: no clocks to commit, no event to fire
     }
     // Commit the window, then drain the instant `coord_time` in canonical
-    // order. Every domain pumped through coord_time, so AdvanceTo is exact,
-    // and any domain event still carrying that timestamp was spawned by a
-    // coordinator event at the same instant — it must fire before the *next*
-    // coordinator event there (a later arrival's router must see it), which
-    // is precisely the merged loop's domains-first tie-break.
+    // order. Every domain pumped up to coord_time, so AdvanceTo is exact.
+    // The drain fires the instant's domain events (lowest domain id first)
+    // before each coordinator event there — both those pending since before
+    // the window and those a same-instant coordinator event spawns, which
+    // must fire before the *next* coordinator event (a later arrival's router
+    // must see them). That is precisely the merged loop's domains-first
+    // tie-break.
     for (auto& d : domains_) {
       d->AdvanceTo(coord_time);
     }

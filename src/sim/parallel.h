@@ -24,14 +24,16 @@
 //  * the windowed executor — between consecutive coordinator events no
 //    domain can affect another, so the span up to the next coordinator
 //    timestamp (the group's lower bound on cross-domain time, LBTS) is a
-//    safe window every domain executes independently. A worker pool pumps
-//    domains concurrently, a barrier commits the window, the coordinator
-//    event fires, and the cycle repeats. An optional lookahead cap bounds
-//    window length (a null-message-style heartbeat) so wall-clock abort
-//    polling stays responsive across long arrival gaps. Once the
-//    coordinator queue drains (or the next coordinator event lies past the
-//    time limit) the run finishes on the merged loop, which alone evaluates
-//    the liveness predicate exactly per event.
+//    safe window every domain executes independently. A worker pool and
+//    the calling thread pump domains concurrently through every event
+//    strictly before that timestamp, a barrier commits the window, the
+//    coordinator instant drains serially in canonical order, and the cycle
+//    repeats. An optional lookahead cap bounds window length (a
+//    null-message-style heartbeat) so wall-clock abort polling stays
+//    responsive across long arrival gaps. Once the coordinator queue drains
+//    (or the next coordinator event lies past the time limit) the run
+//    finishes on the merged loop, which alone evaluates the liveness
+//    predicate exactly per event.
 //
 // Feedback with zero lookahead — task replication, whose quorum reaps are
 // scheduled *at the current instant* from inside domain events — cannot be
@@ -59,8 +61,9 @@ namespace nestsim {
 // workers = 0 must verify at any worker count.
 struct ParallelParams {
   // Worker threads pumping domains. 0 = serial: the merged reference loop on
-  // the calling thread. >0 spawns that many threads (a single-domain run
-  // then executes wholesale on one of them).
+  // the calling thread. >0 spawns that many threads, and the calling thread
+  // pumps windows alongside them (a single-domain run then executes
+  // wholesale on one of the spawned threads).
   int workers = 0;
 
   // "auto" | "window" | "lockstep". Auto picks the windowed executor and

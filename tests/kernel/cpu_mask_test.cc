@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "src/hw/machine_spec.h"
 #include "src/sim/random.h"
 
 namespace nestsim {
@@ -109,6 +110,47 @@ TEST(CpuMaskTest, RandomizedDifferentialAgainstStdSet) {
       }
     }
     ASSERT_EQ(Collect(mask), std::vector<int>(model.begin(), model.end()));
+  }
+}
+
+TEST(CpuMaskTest, NextFromAndSetOpsMatchModel) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    CpuMask a;
+    CpuMask b;
+    std::set<int> model_a;
+    std::set<int> model_b;
+    const double density = rng.NextDouble(0.0, 0.5);
+    for (int cpu = 0; cpu < CpuMask::kMaxCpus; ++cpu) {
+      if (rng.NextBool(density)) {
+        a.Set(cpu);
+        model_a.insert(cpu);
+      }
+      if (rng.NextBool(density)) {
+        b.Set(cpu);
+        model_b.insert(cpu);
+      }
+    }
+    for (int cpu = 0; cpu <= CpuMask::kMaxCpus; ++cpu) {
+      const auto it = model_a.lower_bound(cpu);
+      ASSERT_EQ(a.NextFrom(cpu), it == model_a.end() ? -1 : *it)
+          << "seed " << seed << " cpu " << cpu;
+    }
+    std::vector<int> both;
+    std::vector<int> only_a;
+    for (int cpu : model_a) {
+      (model_b.count(cpu) != 0 ? both : only_a).push_back(cpu);
+    }
+    EXPECT_EQ(Collect(a & b), both);
+    EXPECT_EQ(Collect(a & ~b), only_a);
+    EXPECT_EQ((~CpuMask()).Count(), CpuMask::kMaxCpus);
+  }
+}
+
+TEST(CpuMaskTest, EveryMachinePresetFits) {
+  for (const MachineSpec& m : AllMachines()) {
+    EXPECT_LE(m.num_sockets * m.physical_cores_per_socket * m.threads_per_core, CpuMask::kMaxCpus)
+        << m.name;
   }
 }
 
