@@ -2,38 +2,11 @@
 // machines. The paper's shape: single-task apps (batik, fop, jython, ...)
 // within +-5%; high-underload apps (h2, tradebeans, graphchi-eval,
 // tomcat-eval) gain substantially with Nest.
+//
+// The grid, formats, and seeds live in scenarios/fig10.json; this binary is a
+// thin wrapper so `bench_fig10_dacapo_speedup` and
+// `nestsim_run scenarios/fig10.json` print byte-identical tables.
 
-#include "bench/bench_util.h"
-#include "src/workloads/dacapo.h"
+#include "src/scenario/runner.h"
 
-using namespace nestsim;
-
-int main() {
-  PrintHeader("Figure 10: DaCapo speedups vs CFS-schedutil",
-              "u/s column is the baseline underload per second (the paper's "
-              "'u:' annotation); high-underload apps are where Nest wins.");
-  const auto variants = StandardVariants();
-  GridCampaign grid(
-      "fig10_dacapo_speedup", PaperMachineNames(), DacapoWorkload::AppNames(), variants,
-      [](size_t, const std::string& app) { return std::make_shared<DacapoWorkload>(app); });
-  grid.set_repetitions(BenchRepetitions());
-  grid.Run();
-
-  for (size_t m = 0; m < grid.machines().size(); ++m) {
-    PrintMachineBanner(MachineByName(grid.machines()[m]));
-    std::printf("%-16s %16s %7s %10s %10s %10s\n", "app", "CFS sched (s)", "u/s", "CFS perf",
-                "Nest sched", "Nest perf");
-    for (size_t r = 0; r < grid.rows().size(); ++r) {
-      const RepeatedResult& base = grid.result(m, r, 0);
-      std::printf("%-16s %9.2fs %4.1f%% %7.1f", grid.rows()[r].c_str(), base.mean_seconds,
-                  base.stddev_pct(), base.mean_underload_per_s);
-      for (size_t v = 1; v < variants.size(); ++v) {
-        const RepeatedResult& rr = grid.result(m, r, v);
-        std::printf(" %10s",
-                    FormatSpeedup(SpeedupPercent(base.mean_seconds, rr.mean_seconds)).c_str());
-      }
-      std::printf("\n");
-    }
-  }
-  return 0;
-}
+int main() { return nestsim::RunScenarioFileMain("fig10.json"); }

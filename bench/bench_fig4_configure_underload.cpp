@@ -1,39 +1,11 @@
 // Reproduces Figure 4: underload per second for the configure workloads, on
 // all four paper machines, with CFS and Nest under both governors. As in the
 // paper, underload is based on a single run (seed 11).
+//
+// The grid, formats, and seeds live in scenarios/fig4.json; this binary is a
+// thin wrapper so `bench_fig4_configure_underload` and
+// `nestsim_run scenarios/fig4.json` print byte-identical tables.
 
-#include "bench/bench_util.h"
-#include "src/workloads/configure.h"
+#include "src/scenario/runner.h"
 
-using namespace nestsim;
-
-int main() {
-  PrintHeader("Figure 4: Configure underload per second",
-              "Nest should almost eliminate the underload that CFS accumulates "
-              "by choosing long-idle cores. (Absolute scale exceeds the paper's "
-              "because the simulated scripts are fork-dense end to end; see "
-              "EXPERIMENTS.md.)");
-  const auto variants = StandardVariants();
-  GridCampaign grid("fig4_configure_underload", PaperMachineNames(),
-                    ConfigureWorkload::PackageNames(), variants,
-                    [](size_t, const std::string& package) {
-                      return std::make_shared<ConfigureWorkload>(package);
-                    });
-  grid.set_repetitions(BenchRepetitions(/*fallback=*/1));  // paper: a single run
-  grid.set_base_seed(11);
-  grid.Run();
-
-  for (size_t m = 0; m < grid.machines().size(); ++m) {
-    PrintMachineBanner(MachineByName(grid.machines()[m]));
-    std::printf("%-14s %12s %12s %12s %12s\n", "package", "CFS sched", "CFS perf", "Nest sched",
-                "Nest perf");
-    for (size_t r = 0; r < grid.rows().size(); ++r) {
-      std::printf("%-14s", grid.rows()[r].c_str());
-      for (size_t v = 0; v < variants.size(); ++v) {
-        std::printf(" %12.1f", grid.result(m, r, v).runs[0].underload_per_s);
-      }
-      std::printf("\n");
-    }
-  }
-  return 0;
-}
+int main() { return nestsim::RunScenarioFileMain("fig4.json"); }

@@ -5,88 +5,11 @@
 //
 // The population is the 27 Figure 13 tests plus seeded synthetic tests of the
 // same styles (the real suite is a proprietary download; see DESIGN.md).
+//
+// The grid, formats, and seeds live in scenarios/table4.json; this binary is
+// a thin wrapper so `bench_table4_phoronix_overview` and
+// `nestsim_run scenarios/table4.json` print byte-identical tables.
 
-#include "bench/bench_util.h"
-#include "src/workloads/phoronix.h"
+#include "src/scenario/runner.h"
 
-using namespace nestsim;
-
-namespace {
-
-struct Bands {
-  int much_slower = 0;  // < -20%
-  int slower = 0;       // [-20%, -5%)
-  int same = 0;         // [-5%, 5%]
-  int faster = 0;       // (5%, 20%]
-  int much_faster = 0;  // > 20%
-  int total = 0;
-
-  void Add(double pct) {
-    ++total;
-    if (pct < -20.0) {
-      ++much_slower;
-    } else if (pct < -5.0) {
-      ++slower;
-    } else if (pct <= 5.0) {
-      ++same;
-    } else if (pct <= 20.0) {
-      ++faster;
-    } else {
-      ++much_faster;
-    }
-  }
-
-  void Print(const char* label) const {
-    auto pct = [this](int n) { return total > 0 ? 100 * n / total : 0; };
-    std::printf("  %-12s %4d (%2d%%) %4d (%2d%%) %4d (%2d%%) %4d (%2d%%) %4d (%2d%%)\n", label,
-                much_slower, pct(much_slower), slower, pct(slower), same, pct(same), faster,
-                pct(faster), much_faster, pct(much_faster));
-  }
-};
-
-}  // namespace
-
-int main() {
-  const int kTotalTests = 222;
-  PrintHeader("Table 4: Phoronix multicore overview",
-              "Counts of tests by speedup band vs CFS-schedutil. Columns: "
-              ">20% slower | 5-20% slower | same (+-5%) | 5-20% faster | >20% faster");
-
-  const auto named = PhoronixWorkload::Figure13TestNames();
-  std::vector<std::string> rows;
-  rows.reserve(kTotalTests);
-  for (int i = 0; i < kTotalTests; ++i) {
-    rows.push_back(i < static_cast<int>(named.size()) ? named[i]
-                                                      : "synthetic-" + std::to_string(i));
-  }
-  const std::vector<Variant> variants = {
-      {"CFS sched", SchedulerKind::kCfs, "schedutil"},
-      {"CFS perf", SchedulerKind::kCfs, "performance"},
-      {"Nest sched", SchedulerKind::kNest, "schedutil"},
-  };
-  GridCampaign grid("table4_phoronix_overview", PaperMachineNames(), rows, variants,
-                    [&named](size_t row_index, const std::string& row) {
-                      const PhoronixSpec spec = row_index < named.size()
-                                                    ? PhoronixWorkload::TestSpec(row)
-                                                    : PhoronixWorkload::SyntheticSpec(
-                                                          static_cast<int>(row_index));
-                      return std::make_shared<PhoronixWorkload>(spec);
-                    });
-  grid.set_repetitions(BenchRepetitions(/*fallback=*/1));  // paper: a single run
-  grid.set_base_seed(17);
-  grid.Run();
-
-  for (size_t m = 0; m < grid.machines().size(); ++m) {
-    PrintMachineBanner(MachineByName(grid.machines()[m]));
-    Bands perf_bands;
-    Bands nest_bands;
-    for (size_t r = 0; r < grid.rows().size(); ++r) {
-      const double base_s = grid.result(m, r, 0).runs[0].seconds();
-      perf_bands.Add(SpeedupPercent(base_s, grid.result(m, r, 1).runs[0].seconds()));
-      nest_bands.Add(SpeedupPercent(base_s, grid.result(m, r, 2).runs[0].seconds()));
-    }
-    perf_bands.Print("CFS-perf.");
-    nest_bands.Print("Nest-sched.");
-  }
-  return 0;
-}
+int main() { return nestsim::RunScenarioFileMain("table4.json"); }

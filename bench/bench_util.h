@@ -12,16 +12,20 @@
 #include <string>
 #include <vector>
 
-#include "src/campaign/grid.h"
 #include "src/core/experiment.h"
 #include "src/metrics/stats.h"
 #include "src/scenario/report.h"
 
 namespace nestsim {
 
-// `Variant` (a scheduler/governor column) lives in src/campaign/grid.h; the
-// grid benches run their machine × workload × variant grids through the
-// campaign worker pool (NESTSIM_JOBS workers, NESTSIM_JSONL result sink).
+// A scheduler/governor column of the paper's tables, e.g. "Nest sched". The
+// grid benches (fig4/fig5/fig10/fig12/table4) are scenario wrappers instead,
+// run by the campaign worker pool (NESTSIM_JOBS workers, NESTSIM_JSONL sink).
+struct Variant {
+  std::string label;
+  SchedulerKind scheduler;
+  std::string governor;
+};
 
 // The paper's standard comparison set (Figure 5 adds Smove).
 inline std::vector<Variant> StandardVariants(bool include_smove = false) {
@@ -48,8 +52,7 @@ inline ExperimentConfig ConfigFor(const std::string& machine, const Variant& var
 // How many seeded repetitions benches run. The paper uses 10 (30 for power);
 // 2 keeps the full suite fast while still exposing run-to-run variance.
 // NESTSIM_REPS overrides the fallback uniformly across every bench (via
-// RepetitionsFromEnv in src/campaign/); benches whose paper artefact is
-// defined over a single run (Fig. 4, Table 4) pass fallback = 1.
+// RepetitionsFromEnv in src/campaign/), the scenario wrappers included.
 int BenchRepetitions(int fallback = 2);
 
 // The pretty-printers (PrintHeader, PrintMachineBanner, FormatSpeedup) moved

@@ -25,7 +25,7 @@ enum class JobStatus {
 const char* JobStatusName(JobStatus status);
 
 struct Job {
-  // Grid labels used for reporting (row = workload, column = variant).
+  // Table labels used for reporting (row = workload, column = variant).
   std::string workload;
   std::string variant;
 
@@ -40,9 +40,10 @@ struct Job {
   uint64_t base_seed = 1;
   double timeout_s = 0.0;  // wall-clock budget for the whole job; 0 = unlimited
 
-  // Optional alternative runner (the cluster layer installs
-  // RunClusterExperiment here); empty means plain RunExperiment. Must be
-  // thread-safe across concurrent jobs, like the workload model.
+  // Optional alternative runner (the scenario engine installs
+  // RunClusterExperiment here for cluster scenarios, which is how tools tell
+  // fleet jobs apart); empty means plain RunExperiment. Must be thread-safe
+  // across concurrent jobs, like the workload model.
   std::function<ExperimentResult(const ExperimentConfig&, const Workload&)> runner;
 };
 

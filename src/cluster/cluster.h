@@ -1,38 +1,33 @@
 // The cluster serving layer: N machines behind a load balancer.
 //
-// A ClusterModel instantiates N independent machine stacks — each with its
-// own HardwareModel, scheduler-policy instance, governor and Kernel — one
-// per PDES domain of a DomainGroup (src/sim/parallel.h, docs/PARALLEL.md):
-// every machine owns its own event queue, clock, and PELT/turbo/power state,
-// and the only cross-machine traffic (request arrivals with their router
-// decision, replica-quorum reaps) rides the group's coordinator timeline.
-// Events execute in the group's canonical (timestamp, domain id, seq) order
-// whether the run is serial or spread over a worker pool, so the whole fleet
-// is bit-reproducible from one seed at any worker count.
-// RunClusterExperiment replays an open-loop RequestWorkload traffic plan
-// against the fleet: each arrival asks the RequestRouter for a machine and
-// is injected there through the scheduler's fork path, and end-to-end
-// request latency (arrival to last-part exit) is measured fleet-wide.
+// RunClusterExperiment runs N MachineModels (src/core/machine_model.h) —
+// each with its own HardwareModel, scheduler-policy instance, governor and
+// Kernel — one per PDES domain of a DomainGroup (src/sim/parallel.h,
+// docs/PARALLEL.md): every machine owns its own event queue, clock, and
+// PELT/turbo/power state, and the only cross-machine traffic (request
+// arrivals with their router decision, replica-quorum reaps) rides the
+// group's coordinator timeline. Events execute in the group's canonical
+// (timestamp, domain id, seq) order whether the run is serial or spread over
+// a worker pool, so the whole fleet is bit-reproducible from one seed at any
+// worker count. The runner replays an open-loop RequestWorkload traffic plan
+// against the fleet: each arrival asks the RequestRouter for a machine and is
+// injected there through the scheduler's fork path, and end-to-end request
+// latency (arrival to last-part exit) is measured fleet-wide. Everything
+// else — the machine stack, its observers, the pump and the per-machine
+// metrics — is RunExperiment's, through RunMachines.
 //
 // A 1-machine cluster with the "passthrough" router is digest-identical to
-// running the same workload through RunExperiment: same stack construction
-// order, same Rng stream, same injection event order. The differential test
-// in tests/cluster/ holds this equivalence.
+// running the same workload through RunExperiment: same stack, same Rng
+// stream, same injection event order. The differential test in
+// tests/cluster/ holds this equivalence.
 
 #ifndef NESTSIM_SRC_CLUSTER_CLUSTER_H_
 #define NESTSIM_SRC_CLUSTER_CLUSTER_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/core/experiment.h"
 #include "src/core/workload.h"
-#include "src/governors/governors.h"
-#include "src/hw/machine_spec.h"
-#include "src/kernel/kernel.h"
-#include "src/sim/engine.h"
-#include "src/sim/parallel.h"
 
 namespace nestsim {
 
@@ -41,46 +36,13 @@ struct ClusterSpec {
   std::string router = "round-robin";
 };
 
-// One machine's full stack. Members are constructed in the same order
-// RunExperiment builds its single stack (hardware, policy, governor, kernel).
-struct MachineModel {
-  MachineModel(Engine* engine, const MachineSpec& spec, const ExperimentConfig& config)
-      : hw(engine, spec),
-        policy(MakeSchedulerPolicy(config)),
-        governor(MakeGovernor(config.governor, config.power)),
-        kernel(engine, &hw, policy.get(), governor.get(), config.kernel) {}
-
-  HardwareModel hw;
-  std::unique_ptr<SchedulerPolicy> policy;
-  std::unique_ptr<Governor> governor;
-  Kernel kernel;
-};
-
-class ClusterModel {
- public:
-  // Builds `machines` identical stacks of config.machine, machine i on
-  // domain i of `group` (which must have at least `machines` domains).
-  ClusterModel(DomainGroup* group, const ExperimentConfig& config, int machines);
-
-  int size() const { return static_cast<int>(machines_.size()); }
-  MachineModel& machine(int i) { return *machines_[i]; }
-
-  // Parallel per-machine views handed to routers.
-  const std::vector<Kernel*>& kernels() const { return kernels_; }
-  const std::vector<HardwareModel*>& hardware() const { return hardware_; }
-
- private:
-  std::vector<std::unique_ptr<MachineModel>> machines_;
-  std::vector<Kernel*> kernels_;
-  std::vector<HardwareModel*> hardware_;
-};
-
 // Runs one seeded cluster simulation. `workload` must be a RequestWorkload
-// (the open-loop "requests" family); throws std::runtime_error otherwise, or
-// when cluster.router is unknown, or on an invariant violation. The returned
-// result aggregates machine metrics (energy and counters summed, underload
-// averaged, makespan = fleet-wide last exit) and fills result.cluster with
-// the serving metrics.
+// (the open-loop "requests" family); throws std::runtime_error otherwise,
+// when cluster.router is unknown, when a multi-machine fleet is handed a
+// decision-trace or oracle-recording sink (every machine would write the one
+// shared sink), or on an invariant violation. The returned result aggregates
+// machine metrics (energy and counters summed, underload averaged, makespan
+// = fleet-wide last exit) and fills result.cluster with the serving metrics.
 ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const ExperimentConfig& config,
                                       const Workload& workload);
 

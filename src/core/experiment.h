@@ -1,10 +1,13 @@
 // The experiment runner: the library's main entry point.
 //
 // An ExperimentConfig names a machine, a scheduler (+ parameters), and a
-// governor; RunExperiment builds the whole stack (engine → hardware → kernel
-// → policy), runs a Workload to completion, and returns the paper's metrics:
-// makespan, CPU energy, underload per second, frequency residency, and
-// optional traces. RunRepeated drives several seeds and aggregates.
+// governor; RunExperiment builds the machine's stack (a MachineModel:
+// hardware → policy → governor → kernel, plus its observers) on a one-domain
+// DomainGroup, runs a Workload to completion, and returns the paper's
+// metrics: makespan, CPU energy, underload per second, frequency residency,
+// and optional traces. RunRepeated drives several seeds and aggregates. The
+// fleet driver (src/cluster/) runs N of the same stacks, so one machine and
+// a fleet measure alike.
 
 #ifndef NESTSIM_SRC_CORE_EXPERIMENT_H_
 #define NESTSIM_SRC_CORE_EXPERIMENT_H_
@@ -88,12 +91,13 @@ struct ExperimentConfig {
     // Set it (e.g. from a test) to skip the recording pass.
     std::shared_ptr<const OraclePlan> oracle_plan;
 
-    // Recording sink: when set, RunExperiment attaches an OracleRecorder
-    // filling this plan. Internal to the two-pass protocol.
+    // Recording sink: when set, the machine stack attaches an OracleRecorder
+    // filling this plan. Internal to the two-pass protocol; a multi-machine
+    // cluster rejects it, as it does decision_trace.
     std::shared_ptr<OraclePlan> oracle_record_plan;
 
-    // When set, RunExperiment attaches a DecisionTraceRecorder appending one
-    // feature row per placement decision (tools/nestsim_export).
+    // When set, the machine stack attaches a DecisionTraceRecorder appending
+    // one feature row per placement decision (tools/nestsim_export).
     std::shared_ptr<DecisionTrace> decision_trace;
   };
   PredictParams predict;
@@ -225,8 +229,8 @@ struct ExperimentResult {
 // Runs one seeded simulation of `workload` under `config`.
 ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& workload);
 
-// Builds the policy instance the config names. Exposed so the cluster runner
-// (src/cluster/) constructs per-machine stacks exactly like RunExperiment.
+// Builds the policy instance the config names; MachineModel's constructor
+// (src/core/machine_model.h) is its caller in both experiment drivers.
 std::unique_ptr<SchedulerPolicy> MakeSchedulerPolicy(const ExperimentConfig& config);
 
 // The config flag, overridable either way by NESTSIM_CHECK_INVARIANTS

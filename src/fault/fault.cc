@@ -91,9 +91,13 @@ void FaultInjector::Arm() {
 
 void ResilienceStats::Add(const ResilienceStats& other) {
   // Evacuation latencies merge as (weighted mean, max) — counts weight the
-  // means so per-machine aggregation matches a single-recorder run.
+  // means so per-machine aggregation matches a single-recorder run. Into an
+  // empty side the other's values are copied: (x·n)/n need not round to x.
   const uint64_t total = evacuations + other.evacuations;
-  if (total > 0) {
+  if (evacuations == 0) {
+    mean_evac_latency_us = other.mean_evac_latency_us;
+    max_evac_latency_us = other.max_evac_latency_us;
+  } else if (other.evacuations > 0) {
     mean_evac_latency_us = (mean_evac_latency_us * static_cast<double>(evacuations) +
                             other.mean_evac_latency_us * static_cast<double>(other.evacuations)) /
                            static_cast<double>(total);

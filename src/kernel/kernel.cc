@@ -997,7 +997,7 @@ bool Kernel::OfflineCpu(int cpu) {
   // repaired core must come back with no residual history.
   cs.rq.ClearClaim();
   cs.rq.UpdateMinVruntime();
-  cs.rq.util().Set(now, 0.0);
+  cs.rq.ResetUtil(now);
   UpdateCpuMasks(cpu);
   if (curr != nullptr) {
     NotifyContextSwitch(cpu, curr, nullptr);
@@ -1032,7 +1032,7 @@ void Kernel::OnlineCpu(int cpu) {
   cs.online = true;
   ++online_cpus_;
   cs.idle_since = now;
-  cs.rq.util().Set(now, 0.0);
+  cs.rq.ResetUtil(now);
   cs.rq.ClearClaim();
   UpdateCpuMasks(cpu);
   policy_->OnCpuOnline(cpu);

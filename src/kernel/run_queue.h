@@ -72,6 +72,14 @@ class RunQueue {
   PeltSignal& util() { return util_; }
   const PeltSignal& util() const { return util_; }
 
+  // Zeroes the utilisation at `now` — a core leaving or rejoining the
+  // online set keeps no history — as a placement change, so loads memoised
+  // at this instant are not reused.
+  void ResetUtil(SimTime now) {
+    util_.Set(now, 0.0);
+    ++placement_gen_;
+  }
+
   // ---- Placement recency ("runnable load"). ----
   // Every enqueue bumps this by one task-weight; it decays with a ~12 ms
   // half-life. CFS's fork path adds it to the utilisation signal, which is
@@ -84,10 +92,11 @@ class RunQueue {
     placement_memo_now_ = -1;  // state changed; drop the cached decay
     ++placement_gen_;
   }
-  // Bumped on every placement change; lets callers memoise derived loads per
-  // instant (the utilisation signal cannot change twice within one instant —
-  // PELT updates are no-ops at dt == 0 — so (now, placement_gen) keys the
-  // full load state of this queue).
+  // Bumped on every placement change and utilisation reset; lets callers
+  // memoise derived loads per instant (otherwise the utilisation signal
+  // cannot change twice within one instant — PELT updates are no-ops at
+  // dt == 0 — so (now, placement_gen) keys the full load state of this
+  // queue).
   uint64_t placement_gen() const { return placement_gen_; }
   // Placement scans ask every candidate CPU for this, often several times at
   // the same instant; cache the last (now -> value) pair so only the first

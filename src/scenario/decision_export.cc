@@ -9,8 +9,8 @@ bool CollectDecisionTraces(const Scenario& scenario, const ScenarioRunOptions& o
   *out = DecisionExportResult{};
   if (scenario.has_cluster) {
     err->Add(scenario.name,
-             "cluster scenarios cannot export decision traces (the cluster runner "
-             "builds its own per-machine stacks)");
+             "cluster scenarios cannot export decision traces (a fleet's machines "
+             "cannot share one trace sink)");
     return false;
   }
 

@@ -32,9 +32,8 @@ struct DecisionExportResult {
 };
 
 // Expands `scenario`, attaches one decision-trace sink per job, and runs the
-// campaign. Fails on cluster scenarios (the cluster runner builds its own
-// stacks and never attaches predict observers) and on any job that times out
-// or throws. Campaign progress/JSONL options come from `options` unchanged.
+// campaign. Fails on cluster scenarios (a fleet's machines cannot share one
+// trace sink) and on any job that times out or throws. Campaign progress/JSONL options come from `options` unchanged.
 bool CollectDecisionTraces(const Scenario& scenario, const ScenarioRunOptions& options,
                            DecisionExportResult* out, ScenarioError* err);
 

@@ -122,7 +122,7 @@ bool ExpandScenario(const Scenario& scenario, const ScenarioRunOptions& options,
   for (const std::string& machine : scenario.machines) {
     for (const ScenarioRow& row : scenario.rows) {
       // One workload model per (machine, row); variant and sweep jobs share
-      // it, exactly as GridCampaign's RowFactory contract.
+      // it (Workload::Setup is const, so concurrent jobs may).
       std::shared_ptr<const Workload> model(
           family->build(row.label, row.has_params ? &row.params : nullptr,
                         scenario.name + "/" + row.label, *err));

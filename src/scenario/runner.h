@@ -3,9 +3,9 @@
 //
 // Expansion order is machine → row → variant → sweep point (innermost), with
 // one workload model per (machine, row) shared across variants and sweep
-// points — exactly GridCampaign's order, so a sweepless scenario produces the
-// same job stream (and byte-identical tables and JSONL) as the hand-written
-// grid bench it replaces.
+// points — the nested-loop order the paper tables print in, so a sweepless
+// scenario's job stream (and its tables and JSONL) is byte-identical to the
+// hand-written grid loops it replaced.
 
 #ifndef NESTSIM_SRC_SCENARIO_RUNNER_H_
 #define NESTSIM_SRC_SCENARIO_RUNNER_H_

@@ -850,8 +850,8 @@ bool ParseScenario(const JsonValue& root, const std::string& file_label, Scenari
     err->Add(file_label, "no variants");
   }
   // The oracle's record/replay protocol lives inside single-machine
-  // RunExperiment (src/core/experiment.cc); the cluster runner builds its own
-  // per-machine stacks and would silently skip the recording pass.
+  // RunExperiment (src/core/experiment.cc); the cluster runner has no
+  // recording pass, and a fleet's machines cannot share one plan sink.
   if (out->has_cluster) {
     for (const ScenarioVariant& variant : out->variants) {
       if (variant.scheduler == SchedulerKind::kNestOracle) {

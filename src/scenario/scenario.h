@@ -142,9 +142,9 @@ struct Scenario {
   TableSpec table;
 };
 
-// The "standard" comparison set of the paper's tables; include_smove adds the
-// Figure-5 Smove column. Mirrors bench_util's StandardVariants plus the
-// paper-table column headers.
+// The "standard" comparison set of the paper's tables (CFS/Nest under
+// schedutil/performance) with their table headers; include_smove adds the
+// Figure-5 Smove column.
 std::vector<ScenarioVariant> StandardScenarioVariants(bool include_smove);
 
 // Applies one dotted override key ("nest.r_max", "time_limit_s", ...) to the

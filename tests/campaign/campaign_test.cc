@@ -45,7 +45,7 @@ CampaignOptions QuietOptions(int jobs) {
   return options;
 }
 
-Campaign MakeGridCampaign(int jobs) {
+Campaign MakeJobCampaign(int jobs) {
   Campaign campaign("test", QuietOptions(jobs));
   const auto model = SmallConfigure();
   for (SchedulerKind kind : {SchedulerKind::kCfs, SchedulerKind::kNest, SchedulerKind::kSmove}) {
@@ -64,7 +64,7 @@ Campaign MakeGridCampaign(int jobs) {
 }
 
 TEST(CampaignTest, OutcomesComeBackInSubmissionOrder) {
-  Campaign campaign = MakeGridCampaign(/*jobs=*/4);
+  Campaign campaign = MakeJobCampaign(/*jobs=*/4);
   const std::vector<Job>& jobs = campaign.jobs();
   const std::vector<JobOutcome> outcomes = campaign.Run();
   ASSERT_EQ(outcomes.size(), jobs.size());
@@ -76,8 +76,8 @@ TEST(CampaignTest, OutcomesComeBackInSubmissionOrder) {
 }
 
 TEST(CampaignTest, ResultsIdenticalAcrossWorkerCounts) {
-  const std::vector<JobOutcome> serial = MakeGridCampaign(1).Run();
-  const std::vector<JobOutcome> pooled = MakeGridCampaign(8).Run();
+  const std::vector<JobOutcome> serial = MakeJobCampaign(1).Run();
+  const std::vector<JobOutcome> pooled = MakeJobCampaign(8).Run();
   ASSERT_EQ(serial.size(), pooled.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].status, pooled[i].status);

@@ -234,5 +234,18 @@ TEST(CfsForkReuseTest, OfflineAndOnlineBetweenForksAtOneInstant) {
   EXPECT_EQ(rig.Fork(2), 2);
 }
 
+// Taking a core offline or back online zeroes its utilisation. The reset
+// must reach a scan at the same instant: the previous scan's load for that
+// CPU is stale.
+TEST(CfsForkReuseTest, UtilisationResetBetweenForksAtOneInstant) {
+  DirectRig rig;
+  rig.engine.RunUntil(1 * kMillisecond);
+  rig.kernel.rq(2).util().Set(rig.engine.Now(), 0.5);
+  EXPECT_EQ(rig.Fork(2), 3);  // the loaded parent CPU loses to an idle one
+  ASSERT_TRUE(rig.kernel.OfflineCpu(2));
+  rig.kernel.OnlineCpu(2);
+  EXPECT_EQ(rig.Fork(2), 2);  // with its history gone it wins again
+}
+
 }  // namespace
 }  // namespace nestsim

@@ -1,15 +1,21 @@
 // Cluster serving layer (src/cluster/): the passthrough differential — a
 // 1-machine cluster must reproduce the single-machine RunExperiment result
-// exactly — plus router behaviour, serving metrics, and determinism.
+// exactly, since both drivers run the same MachineModel through RunMachines
+// — plus router behaviour, serving metrics, and determinism.
 
 #include "src/cluster/cluster.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "src/cluster/router.h"
+#include "src/core/machine_model.h"
 #include "src/obs/sched_counters.h"
+#include "src/predict/decision_trace.h"
+#include "src/predict/oracle.h"
 #include "src/workloads/requests.h"
 
 namespace nestsim {
@@ -33,33 +39,92 @@ ExperimentConfig SmallConfig(SchedulerKind scheduler) {
   return config;
 }
 
-// Every scalar the golden baselines gate on, compared exactly. The counters
-// compare as their full JSON rendering, not just the digest, so a mismatch
-// names the counter that moved.
+// Every field the golden baselines and the paper tables read, compared
+// exactly. The counters compare as their full JSON rendering, not just the
+// digest, so a mismatch names the counter that moved.
 void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_DOUBLE_EQ(a.energy_joules, b.energy_joules);
-  EXPECT_DOUBLE_EQ(a.underload_per_s, b.underload_per_s);
+  EXPECT_EQ(a.hit_time_limit, b.hit_time_limit);
+  EXPECT_EQ(a.energy_joules, b.energy_joules);
+  EXPECT_EQ(a.underload_per_s, b.underload_per_s);
   EXPECT_EQ(a.context_switches, b.context_switches);
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.tasks_created, b.tasks_created);
   EXPECT_EQ(SchedCountersJson(a.counters), SchedCountersJson(b.counters));
+  EXPECT_EQ(a.freq_hist.edges, b.freq_hist.edges);
+  EXPECT_EQ(a.freq_hist.seconds, b.freq_hist.seconds);
+  EXPECT_EQ(a.cpus_used, b.cpus_used);
+  EXPECT_EQ(a.tag_makespan, b.tag_makespan);
+  EXPECT_EQ(a.p50_wakeup_latency_us, b.p50_wakeup_latency_us);
+  EXPECT_EQ(a.p99_wakeup_latency_us, b.p99_wakeup_latency_us);
+  EXPECT_EQ(a.resilience.tasks_killed, b.resilience.tasks_killed);
+  EXPECT_EQ(a.resilience.replicas_reaped, b.resilience.replicas_reaped);
+  EXPECT_EQ(a.resilience.work_lost_ms, b.resilience.work_lost_ms);
+  EXPECT_EQ(a.resilience.wasted_replica_ms, b.resilience.wasted_replica_ms);
+  EXPECT_EQ(a.resilience.evacuations, b.resilience.evacuations);
+  EXPECT_EQ(a.resilience.mean_evac_latency_us, b.resilience.mean_evac_latency_us);
+  EXPECT_EQ(a.resilience.max_evac_latency_us, b.resilience.max_evac_latency_us);
+  EXPECT_EQ(a.resilience.requests_failed, b.resilience.requests_failed);
+  EXPECT_EQ(a.resilience.requests_degraded, b.resilience.requests_degraded);
+}
+
+void ExpectPassthroughIdentical(const ExperimentConfig& config, const Workload& workload) {
+  const ExperimentResult single = RunExperiment(config, workload);
+  const ExperimentResult fleet =
+      RunClusterExperiment(ClusterSpec{1, "passthrough"}, config, workload);
+  ExpectSameResult(single, fleet);
+  // The cluster path additionally reports serving metrics.
+  EXPECT_EQ(single.cluster.num_machines, 0);
+  EXPECT_EQ(fleet.cluster.num_machines, 1);
+  EXPECT_GT(fleet.cluster.requests_offered, 0u);
 }
 
 TEST(ClusterDifferentialTest, PassthroughSingleMachineIsDigestIdentical) {
   const RequestWorkload workload(SmallTraffic());
   for (const SchedulerKind scheduler :
        {SchedulerKind::kCfs, SchedulerKind::kNest, SchedulerKind::kSmove}) {
-    const ExperimentConfig config = SmallConfig(scheduler);
-    const ExperimentResult single = RunExperiment(config, workload);
-    const ExperimentResult fleet =
-        RunClusterExperiment(ClusterSpec{1, "passthrough"}, config, workload);
     SCOPED_TRACE(SchedulerKindKey(scheduler));
-    ExpectSameResult(single, fleet);
-    // The cluster path additionally reports serving metrics.
-    EXPECT_EQ(fleet.cluster.num_machines, 1);
-    EXPECT_GT(fleet.cluster.requests_offered, 0u);
+    ExpectPassthroughIdentical(SmallConfig(scheduler), workload);
+    const ExperimentResult fleet = RunClusterExperiment(ClusterSpec{1, "passthrough"},
+                                                        SmallConfig(scheduler), workload);
     EXPECT_EQ(fleet.cluster.requests_completed, fleet.cluster.requests_offered);
+  }
+}
+
+// The optional observers hold the identity too, serially and on a worker
+// thread: recorded wakeup latencies, and core kills whose evacuations feed
+// the resilience block.
+TEST(ClusterDifferentialTest, PassthroughWithLatencyIsDigestIdentical) {
+  RequestSpec spec = SmallTraffic();
+  spec.io_pause_ms = 0.2;  // parts block once, so they have wakeups to sample
+  const RequestWorkload workload(spec);
+  for (const int workers : {0, 1}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ExperimentConfig config = SmallConfig(SchedulerKind::kNest);
+    config.record_latency = true;
+    config.parallel.workers = workers;
+    ExpectPassthroughIdentical(config, workload);
+    EXPECT_GT(RunExperiment(config, workload).p99_wakeup_latency_us, 0.0);
+  }
+}
+
+TEST(ClusterDifferentialTest, PassthroughWithCoreKillsIsDigestIdentical) {
+  // Busy enough that a killed core usually has work to evacuate.
+  RequestSpec spec = SmallTraffic();
+  spec.rate_per_s = 4000.0;
+  spec.service_ms = 2.0;
+  spec.duration_s = 0.1;
+  const RequestWorkload workload(spec);
+  for (const int workers : {0, 1}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ExperimentConfig config = SmallConfig(SchedulerKind::kCfs);
+    config.fault.core_fail_rate_per_s = 100.0;
+    config.fault.core_downtime_ms = 5.0;
+    config.parallel.workers = workers;
+    ExpectPassthroughIdentical(config, workload);
+    const ExperimentResult single = RunExperiment(config, workload);
+    EXPECT_GT(single.counters.faults_injected, 0u);
+    EXPECT_GT(single.resilience.evacuations, 0u);
   }
 }
 
@@ -126,6 +191,23 @@ TEST(ClusterRunTest, UnknownRouterThrows) {
                std::runtime_error);
 }
 
+// Every machine of a fleet would append to the one shared sink — from
+// several threads under a worker pool — so a multi-machine run refuses the
+// prediction recorders instead of silently dropping them.
+TEST(ClusterRunTest, MultiMachineRejectsSharedRecorderSinks) {
+  const RequestWorkload workload(SmallTraffic());
+  ExperimentConfig traced = SmallConfig(SchedulerKind::kNest);
+  traced.predict.decision_trace = std::make_shared<DecisionTrace>();
+  EXPECT_THROW(RunClusterExperiment(ClusterSpec{2, "round-robin"}, traced, workload),
+               std::runtime_error);
+  ExperimentConfig recording = SmallConfig(SchedulerKind::kNest);
+  recording.predict.oracle_record_plan = std::make_shared<OraclePlan>();
+  EXPECT_THROW(RunClusterExperiment(ClusterSpec{2, "round-robin"}, recording, workload),
+               std::runtime_error);
+  // One machine is one writer.
+  EXPECT_NO_THROW(RunClusterExperiment(ClusterSpec{1, "passthrough"}, traced, workload));
+}
+
 TEST(ClusterRunTest, NonRequestWorkloadThrows) {
   // Any closed-loop workload must be rejected: the cluster runner owns the
   // injection schedule and cannot replay arbitrary Setup() side effects.
@@ -153,20 +235,23 @@ TEST(RouterTest, RegistryCoversEveryName) {
 TEST(RouterTest, LeastLoadedPrefersTheIdlerMachine) {
   DomainGroup group(2);
   const ExperimentConfig config = SmallConfig(SchedulerKind::kCfs);
-  ClusterModel model(&group, config, 2);
-  model.machine(0).kernel.Start();
-  model.machine(1).kernel.Start();
+  MachineModel m0(&group.domain(0), config, 0);
+  MachineModel m1(&group.domain(1), config, 1);
+  m0.kernel.Start();
+  m1.kernel.Start();
+  const std::vector<Kernel*> kernels = {&m0.kernel, &m1.kernel};
+  const std::vector<HardwareModel*> hardware = {&m0.hw, &m1.hw};
 
   const auto router = MakeRouter("least-loaded");
   // Both idle: lowest index wins.
-  EXPECT_EQ(router->Route(model.kernels(), model.hardware()), 0);
+  EXPECT_EQ(router->Route(kernels, hardware), 0);
 
   // Park a runnable task on machine 0; the router must now pick machine 1.
   ProgramBuilder builder("busy");
   builder.ComputeMs(5.0);
-  model.machine(0).kernel.InjectTask(builder.Build(), "busy", /*tag=*/0);
-  EXPECT_GT(model.machine(0).kernel.runnable_tasks(), 0);
-  EXPECT_EQ(router->Route(model.kernels(), model.hardware()), 1);
+  m0.kernel.InjectTask(builder.Build(), "busy", /*tag=*/0);
+  EXPECT_GT(m0.kernel.runnable_tasks(), 0);
+  EXPECT_EQ(router->Route(kernels, hardware), 1);
 }
 
 TEST(RequestPlanTest, PlanIsDeterministicAndOrdered) {

@@ -304,5 +304,40 @@ TEST(FaultRunTest, DefaultSpecIsByteIdenticalToNoFaults) {
   EXPECT_FALSE(a.resilience.any());
 }
 
+// ---- resilience accounting --------------------------------------------------
+
+// A run's metrics are added into an empty result, so adding into a
+// default-constructed value must reproduce the other side bit for bit:
+// (0.1 · 3) / 3 is 0.10000000000000002.
+TEST(ResilienceStatsTest, AddIntoEmptyIsExact) {
+  ResilienceStats machine;
+  machine.evacuations = 3;
+  machine.mean_evac_latency_us = 0.1;
+  machine.max_evac_latency_us = 0.3;
+  ResilienceStats total;
+  total.Add(machine);
+  EXPECT_EQ(total.evacuations, 3u);
+  EXPECT_EQ(total.mean_evac_latency_us, 0.1);
+  EXPECT_EQ(total.max_evac_latency_us, 0.3);
+  // Adding an empty side leaves the mean untouched too.
+  total.Add(ResilienceStats{});
+  EXPECT_EQ(total.mean_evac_latency_us, 0.1);
+}
+
+TEST(ResilienceStatsTest, AddWeightsMeansByEvacuations) {
+  ResilienceStats a;
+  a.evacuations = 1;
+  a.mean_evac_latency_us = 10.0;
+  a.max_evac_latency_us = 10.0;
+  ResilienceStats b;
+  b.evacuations = 3;
+  b.mean_evac_latency_us = 30.0;
+  b.max_evac_latency_us = 50.0;
+  a.Add(b);
+  EXPECT_EQ(a.evacuations, 4u);
+  EXPECT_DOUBLE_EQ(a.mean_evac_latency_us, 25.0);
+  EXPECT_EQ(a.max_evac_latency_us, 50.0);
+}
+
 }  // namespace
 }  // namespace nestsim

@@ -1,6 +1,7 @@
 // Expansion and execution invariants of the scenario runner: grid order
-// mirrors GridCampaign, sweep points cross-product with stable labels, and
-// pooled execution is deterministic (outcomes independent of worker count).
+// follows the paper tables' nested loops, sweep points cross-product with
+// stable labels, and pooled execution is deterministic (outcomes independent
+// of worker count).
 
 #include "src/scenario/runner.h"
 
