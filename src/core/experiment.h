@@ -184,8 +184,8 @@ struct ExperimentResult {
 
   uint64_t context_switches = 0;
   uint64_t migrations = 0;
-  // Engine events fired over the run; the denominator of nestsim_bench's
-  // events/sec figure. Not part of golden baselines.
+  // Engine events fired over the run; perfbench sums it into `sim.events`.
+  // Not part of golden baselines.
   uint64_t events_fired = 0;
   int tasks_created = 0;
   bool hit_time_limit = false;

@@ -1,10 +1,8 @@
-// The serial-vs-parallel differential layer (docs/PARALLEL.md): every
-// committed scenario golden replayed under the windowed PDES executor at
-// 1/2/4/8 workers must produce bit-identical results to the serial
-// reference loop, and randomized parallel.* knob draws (sync algorithm,
-// lookahead caps) must never be observable either. This is the in-process
-// half of the acceptance bar; CI additionally gates `nestsim_run
-// --check-baseline --parallel 4` against the committed golden files.
+// The serial-vs-parallel differential layer (docs/PARALLEL.md):
+// randomized parallel.* knob draws (sync algorithm, lookahead caps) must
+// never be observable. Every committed golden is checked against its file
+// serially and at 1/2/4/8 PDES workers by ctest's golden gate
+// (`ctest -R '^golden\.'`, docs/TESTING.md).
 
 #include <gtest/gtest.h>
 
@@ -20,17 +18,10 @@
 namespace nestsim {
 namespace {
 
-// Everything a golden record pins, per repetition of per job.
+// What the knob draws must reproduce, per repetition of per job.
 struct RunFingerprint {
   SimDuration makespan = 0;
-  int tasks_created = 0;
-  uint64_t migrations = 0;
   std::string digest;
-
-  bool operator==(const RunFingerprint& o) const {
-    return makespan == o.makespan && tasks_created == o.tasks_created &&
-           migrations == o.migrations && digest == o.digest;
-  }
 };
 
 std::vector<std::vector<RunFingerprint>> ExecuteAt(const Scenario& scenario, int workers) {
@@ -56,8 +47,6 @@ std::vector<std::vector<RunFingerprint>> ExecuteAt(const Scenario& scenario, int
     for (const ExperimentResult& r : outcome.result.runs) {
       RunFingerprint fp;
       fp.makespan = r.makespan;
-      fp.tasks_created = r.tasks_created;
-      fp.migrations = r.migrations;
       fp.digest = SchedCountersDigest(r.counters);
       reps.push_back(fp);
     }
@@ -72,26 +61,6 @@ Scenario LoadCommitted(const std::string& stem) {
   ScenarioError err;
   EXPECT_TRUE(LoadScenario(path, &scenario, &err)) << err.Join();
   return scenario;
-}
-
-// Every scenario with a committed golden under baselines/.
-const char* kGoldenScenarios[] = {
-    "smoke",          "cache_ablation",     "cluster_smoke", "cluster_util_sweep",
-    "energy_cap",     "fault_blast_radius", "pdes_scaling",
-};
-
-TEST(PdesDifferentialTest, CommittedGoldensAreByteIdenticalAtEveryWorkerCount) {
-  for (const char* stem : kGoldenScenarios) {
-    SCOPED_TRACE(stem);
-    const Scenario scenario = LoadCommitted(stem);
-    const auto reference = ExecuteAt(scenario, /*workers=*/0);
-    ASSERT_FALSE(reference.empty());
-    for (const int workers : {1, 2, 4, 8}) {
-      const auto parallel = ExecuteAt(scenario, workers);
-      EXPECT_TRUE(reference == parallel)
-          << stem << " diverged from the serial reference at " << workers << " PDES workers";
-    }
-  }
 }
 
 // Randomized knob fuzz: sync mode and lookahead cap are pure execution

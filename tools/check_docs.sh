@@ -17,8 +17,8 @@
 #      docs/SCENARIOS.md;
 #   9. every invariant name the checker can emit is documented in
 #      docs/TESTING.md, and docs/TESTING.md is linked from README.md;
-#  10. docs/BENCHMARKS.md is linked from README.md, and every benchmark
-#      record name the perf suite emits is documented there;
+#  10. perfbench/README.md, the benchmark's reference, is linked from
+#      README.md;
 #  11. docs/CLUSTER.md is linked from README.md and docs/SCENARIOS.md, every
 #      router name src/cluster/ registers is documented there, and so is
 #      every cluster.* spec key the scenario parser accepts;
@@ -146,25 +146,11 @@ if ! grep -q 'docs/TESTING.md' README.md; then
   fail=1
 fi
 
-# 10. The benchmark reference is reachable, and every microbenchmark name in
-#     the suite (quoted "family/name" literals) plus the grid record prefix is
-#     documented.
-if ! grep -q 'docs/BENCHMARKS.md' README.md; then
-  echo "FAIL: README.md does not link docs/BENCHMARKS.md"
+# 10. The benchmark reference is reachable.
+if ! grep -q 'perfbench/README.md' README.md; then
+  echo "FAIL: README.md does not link perfbench/README.md"
   fail=1
 fi
-for name in $(grep -ohE '"[a-z_]+/[a-z_]+"' src/perf/core_benches.cc                 | sed 's/"//g' | sort -u); do
-  if ! grep -q "\`$name\`" docs/BENCHMARKS.md; then
-    echo "FAIL: benchmark '$name' is emitted but not documented in docs/BENCHMARKS.md"
-    fail=1
-  fi
-done
-for name in "grid/table4" "grid/fig12"; do
-  if ! grep -q "$name" docs/BENCHMARKS.md; then
-    echo "FAIL: grid record '$name' is not documented in docs/BENCHMARKS.md"
-    fail=1
-  fi
-done
 
 # 11. The cluster reference is reachable, covers every router the registry
 #     can build (name() implementations return quoted kebab-case words), and
