@@ -11,11 +11,8 @@ namespace {
 
 // Expands and executes one pass of the grid with `jobs` campaign workers,
 // the invariant checker forced on, and the caller's mutation applied.
-// `engine_workers` >= 0 forces config.parallel.workers on every job (after
-// the mutation, so the engine passes stay comparable even when a mutation
-// touches the config); -1 keeps whatever the scenario drew.
-bool RunPass(const Scenario& scenario, int jobs, int engine_workers,
-             const DifferentialOptions& options, ScenarioRun* run, ScenarioError* err) {
+bool RunPass(const Scenario& scenario, int jobs, const DifferentialOptions& options,
+             ScenarioRun* run, ScenarioError* err) {
   ScenarioRunOptions run_options;
   run_options.campaign.jobs = jobs;
   run_options.campaign.progress = false;
@@ -27,9 +24,6 @@ bool RunPass(const Scenario& scenario, int jobs, int engine_workers,
     job.config.check_invariants = true;
     if (options.mutate_config) {
       options.mutate_config(&job.config);
-    }
-    if (engine_workers >= 0) {
-      job.config.parallel.workers = engine_workers;
     }
   }
   ExecuteScenario(run);
@@ -46,7 +40,7 @@ std::string JobLabel(const ScenarioRun& run, size_t machine, size_t row, size_t 
   return label;
 }
 
-// `b_desc` names pass b in problem messages ("a pool", "4 PDES workers").
+// `b_desc` names pass b in problem messages ("a pool").
 void CheckDeterminism(const ScenarioRun& a, const ScenarioRun& b, const std::string& b_desc,
                       DifferentialReport* report) {
   for (size_t m = 0; m < a.num_machines(); ++m) {
@@ -219,14 +213,10 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
     return report;
   }
 
-  // The serial pass pins the serial PDES reference loop so both cross-checks
-  // below compare against the same ground truth; the campaign pass keeps the
-  // scenario's own parallel.* draw.
   ScenarioRun serial;
   ScenarioRun parallel;
-  if (!RunPass(scenario, options.serial_jobs, /*engine_workers=*/0, options, &serial, &err) ||
-      !RunPass(scenario, options.parallel_jobs, /*engine_workers=*/-1, options, &parallel,
-               &err)) {
+  if (!RunPass(scenario, options.serial_jobs, options, &serial, &err) ||
+      !RunPass(scenario, options.parallel_jobs, options, &parallel, &err)) {
     report.problems.push_back("scenario does not expand:\n" + err.Join());
     return report;
   }
@@ -234,16 +224,6 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
 
   CheckHealth(serial, &report);
   CheckDeterminism(serial, parallel, "a pool", &report);
-  if (options.engine_workers > 0) {
-    ScenarioRun engine;
-    if (!RunPass(scenario, options.serial_jobs, options.engine_workers, options, &engine,
-                 &err)) {
-      report.problems.push_back("scenario does not expand:\n" + err.Join());
-      return report;
-    }
-    CheckDeterminism(serial, engine,
-                     std::to_string(options.engine_workers) + " PDES workers", &report);
-  }
   // The nest_predict fallback contract (docs/PREDICTION.md §3): with no
   // model loaded the policy must be bit-identical to plain Nest. Re-run the
   // serial pass with every kNest job flipped to kNestPredict — model nulled,
@@ -265,7 +245,7 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
       }
     };
     ScenarioRun predict;
-    if (!RunPass(scenario, options.serial_jobs, /*engine_workers=*/0, flip, &predict, &err)) {
+    if (!RunPass(scenario, options.serial_jobs, flip, &predict, &err)) {
       report.problems.push_back("scenario does not expand:\n" + err.Join());
       return report;
     }

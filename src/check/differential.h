@@ -2,16 +2,13 @@
 //
 // RunDifferential parses a scenario spec (normally one from
 // src/check/generator.h), forces the invariant checker on for every job, and
-// executes the whole grid several times — once on a single campaign worker
-// with the serial PDES reference loop, once on a parallel campaign pool,
-// once with the windowed PDES engine at engine_workers threads per job
-// (src/sim/parallel.h), and — when the grid has a plain-Nest variant — once
-// with those jobs flipped to the model-less nest_predict policy. It then
-// cross-checks:
+// executes the whole grid several times — once on a single campaign worker,
+// once on a parallel campaign pool, and — when the grid has a plain-Nest
+// variant — once with those jobs flipped to the model-less nest_predict
+// policy. It then cross-checks:
 //
 //   * determinism — the same seed must give bit-identical makespans and
-//     SchedCounters digests regardless of campaign worker count AND of PDES
-//     engine worker count;
+//     SchedCounters digests regardless of campaign worker count;
 //   * job health — invariant violations, unexpected failures, and timeouts
 //     all surface as problems;
 //   * predictor fallback — every kNest job re-runs flipped to kNestPredict
@@ -44,12 +41,6 @@ struct DifferentialOptions {
   // cross-check meaningful: results must not depend on execution order.
   int serial_jobs = 1;
   int parallel_jobs = 4;
-
-  // PDES worker threads for the engine pass (config.parallel.workers forced
-  // on every job); 0 skips the pass. The serial pass always forces the
-  // serial reference loop, so this cross-checks the windowed executor the
-  // same way parallel_jobs cross-checks the campaign pool.
-  int engine_workers = 4;
 
   // Full-load CFS-vs-Nest tolerance: makespan ratios must stay within
   // [1 / (1 + band), 1 + band]. Only applied when the caller says the

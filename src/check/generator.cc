@@ -403,7 +403,7 @@ GeneratedScenario GenerateScenario(uint64_t seed) {
     static const char* kRouters[] = {"passthrough", "round-robin", "least-loaded", "power-aware"};
     JsonValue block = Obj();
     // Mostly small fleets; a fifth of cluster draws go up to 8 machines so
-    // the conservative synchronizer sees wider domain fan-outs.
+    // the coordinator routes across wider domain fan-outs.
     Add(block, "machines", Num(rng.NextBool(0.2) ? IntIn(rng, 5, 8) : IntIn(rng, 1, 4)));
     Add(block, "router", Str(kRouters[IntIn(rng, 0, 3)]));
     Add(spec, "cluster", block);
@@ -416,21 +416,6 @@ GeneratedScenario GenerateScenario(uint64_t seed) {
   // time exercise the policy-parameter surface.
   JsonValue config = Obj();
   Add(config, "time_limit_s", Num(20));
-  // A quarter of the draws run the parallel PDES engine (src/sim/parallel.h)
-  // with a random worker count, sync algorithm, and lookahead cap. The
-  // differential's engine pass then forces its own worker count, so a drawn
-  // parallel config is cross-checked against the serial reference loop both
-  // at the drawn count and at the forced one.
-  if (rng.NextBool(0.25)) {
-    Add(config, "parallel.workers", Num(IntIn(rng, 1, 8)));
-    if (rng.NextBool(0.4)) {
-      static const char* kSync[] = {"auto", "window", "lockstep"};
-      Add(config, "parallel.sync", Str(kSync[IntIn(rng, 0, 2)]));
-    }
-    if (rng.NextBool(0.3)) {
-      Add(config, "parallel.lookahead_us", Num(Uniform(rng, 10.0, 5000.0)));
-    }
-  }
   if (rng.NextBool(0.5)) {
     const auto& pool = OverrideKeyPool();
     const int extras = IntIn(rng, 1, 2);

@@ -103,17 +103,13 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   }
   if (cluster.machines > 1 && (config.predict.decision_trace != nullptr ||
                                config.predict.oracle_record_plan != nullptr)) {
-    // Every machine's recorder would append to the one shared sink, from
-    // several worker threads under --parallel.
+    // Every machine's recorder would append to the one shared sink.
     throw std::runtime_error(
         "a multi-machine cluster cannot record decision traces or oracle plans");
   }
 
-  // One PDES domain per machine plus the coordinator timeline for arrivals
-  // and reaps (src/sim/parallel.h). Serial runs (workers = 0) execute the
-  // merged reference loop; worker pools execute conservative windows between
-  // coordinator events. Both produce the canonical event order, so the
-  // digest is identical at any worker count.
+  // One domain per machine plus the coordinator timeline for arrivals and
+  // reaps (src/sim/parallel.h), run in the canonical event order.
   const int n = cluster.machines;
   DomainGroup group(n);
   std::vector<std::unique_ptr<MachineModel>> machines;
@@ -199,9 +195,8 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
     part_quorum_exit.assign(plan.parts.size(), -1);
   }
   // The reap is a cross-domain event (losing copies live on other machines),
-  // so it rides the coordinator. Scheduling it from inside a domain's exit
-  // event is a zero-lookahead feedback edge — which is why replicas > 1
-  // forces the lockstep executor below.
+  // so it rides the coordinator, scheduled from inside a domain's exit event
+  // at the exit instant.
   auto on_copy_exit = [&group, &copy_refs, &part_exits, &part_quorum_exit, replicas,
                        quorum](size_t copy, SimTime now) {
     const size_t part = copy / static_cast<size_t>(replicas);
@@ -287,10 +282,7 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
     }
     return false;
   };
-  // Replication's quorum reaps are same-instant cross-domain feedback (zero
-  // lookahead), so they force the lockstep executor regardless of sync mode.
-  ExperimentResult result =
-      RunMachines(config, &group, machines, fleet_live, /*lockstep=*/replicas > 1);
+  ExperimentResult result = RunMachines(config, &group, machines, fleet_live);
   const SimTime end = result.makespan;
 
   // ---- Serving metrics. ----

@@ -2,14 +2,13 @@
 //
 // RunClusterExperiment runs N MachineModels (src/core/machine_model.h) —
 // each with its own HardwareModel, scheduler-policy instance, governor and
-// Kernel — one per PDES domain of a DomainGroup (src/sim/parallel.h,
+// Kernel — one per domain of a DomainGroup (src/sim/parallel.h,
 // docs/PARALLEL.md): every machine owns its own event queue, clock, and
 // PELT/turbo/power state, and the only cross-machine traffic (request
 // arrivals with their router decision, replica-quorum reaps) rides the
 // group's coordinator timeline. Events execute in the group's canonical
-// (timestamp, domain id, seq) order whether the run is serial or spread over
-// a worker pool, so the whole fleet is bit-reproducible from one seed at any
-// worker count. The runner replays an open-loop RequestWorkload traffic plan
+// (timestamp, domain id, seq) order, so the whole fleet is bit-reproducible
+// from one seed. The runner replays an open-loop RequestWorkload traffic plan
 // against the fleet: each arrival asks the RequestRouter for a machine and is
 // injected there through the scheduler's fork path, and end-to-end request
 // latency (arrival to last-part exit) is measured fleet-wide. Everything

@@ -33,7 +33,6 @@
 #include "src/predict/decision_trace.h"
 #include "src/predict/model.h"
 #include "src/predict/oracle.h"
-#include "src/sim/parallel.h"
 #include "src/smove/smove_policy.h"
 
 namespace nestsim {
@@ -101,11 +100,6 @@ struct ExperimentConfig {
     std::shared_ptr<DecisionTrace> decision_trace;
   };
   PredictParams predict;
-
-  // Parallel (PDES) execution knobs (src/sim/parallel.h, docs/PARALLEL.md).
-  // Pure execution policy: results are byte-identical at any worker count,
-  // so goldens never record it. workers = 0 runs the serial reference loop.
-  ParallelParams parallel;
 
   uint64_t seed = 1;
   // Hard wall for runaway workloads; the run normally ends when every task

@@ -172,13 +172,9 @@ void MachineModel::AddMetricsTo(SimTime end, ExperimentResult* result) {
 
 ExperimentResult RunMachines(const ExperimentConfig& config, DomainGroup* group,
                              const std::vector<std::unique_ptr<MachineModel>>& machines,
-                             std::function<bool()> live, bool lockstep) {
+                             std::function<bool()> live) {
   DomainGroup::RunOptions options;
   options.time_limit = config.time_limit;
-  options.workers = config.parallel.workers;
-  options.lockstep = lockstep || config.parallel.sync == "lockstep";
-  options.max_window =
-      static_cast<SimDuration>(config.parallel.lookahead_us * static_cast<double>(kMicrosecond));
   options.live = std::move(live);
   options.should_abort = config.should_abort;
   if (CheckInvariantsEnabled(config)) {

@@ -112,11 +112,10 @@ class MachineModel {
 // false or config's time limit, abort hook or invariant checker stops it.
 // Throws std::runtime_error with the first machine's report on an invariant
 // violation; otherwise returns every machine's metrics added into one
-// result. `lockstep` forces the merged executor, which same-instant
-// cross-domain feedback needs.
+// result.
 ExperimentResult RunMachines(const ExperimentConfig& config, DomainGroup* group,
                              const std::vector<std::unique_ptr<MachineModel>>& machines,
-                             std::function<bool()> live, bool lockstep = false);
+                             std::function<bool()> live);
 
 }  // namespace nestsim
 

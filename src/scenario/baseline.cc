@@ -297,10 +297,10 @@ BaselineCheck CheckBaseline(const ScenarioRun& run, const std::string& dir,
                                   : std::string("?")) +
                              ", fresh " + std::to_string(run.repetitions) + ")");
   }
-  if (!check.problems.empty()) {
-    return check;
-  }
 
+  // A base_seed or repetitions change is recorded above and the jobs are
+  // still compared, so a perturbed-seed check also reports each job's
+  // fields and status.
   for (size_t i = 0; i < run.jobs.size(); ++i) {
     const Job& job = run.jobs[i];
     const JobOutcome& outcome = run.outcomes[i];

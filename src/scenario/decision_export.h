@@ -5,8 +5,8 @@
 // DecisionTrace sink attached per job, so every fork/wake placement decision
 // lands as a feature row (src/predict/features.h). Rows are serialized in job
 // order with a stream-wide decision index, which makes the output
-// byte-identical at any NESTSIM_JOBS worker count and any --parallel PDES
-// setting (pinned by tests/predict/export_invariance_test.cc).
+// byte-identical at any NESTSIM_JOBS worker count (pinned by
+// tests/predict/export_invariance_test.cc).
 
 #ifndef NESTSIM_SRC_SCENARIO_DECISION_EXPORT_H_
 #define NESTSIM_SRC_SCENARIO_DECISION_EXPORT_H_

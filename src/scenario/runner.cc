@@ -149,9 +149,6 @@ bool ExpandScenario(const Scenario& scenario, const ScenarioRunOptions& options,
                                 scenario.sweep[a].values[points[s][a]],
                                 scenario.name + "/sweep", err);
           }
-          if (options.parallel_workers >= 0) {
-            job.config.parallel.workers = options.parallel_workers;
-          }
           job.model = model;
           job.repetitions = run->repetitions;
           job.base_seed = run->base_seed;

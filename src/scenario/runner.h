@@ -30,10 +30,9 @@ struct ScenarioRunOptions {
   // --timeout: replaces scenario.timeout_s when >= 0.
   double timeout_override_s = -1.0;
 
-  // --parallel: replaces every job's config.parallel.workers when >= 0.
-  // Results are byte-identical at any worker count (docs/PARALLEL.md), so
-  // this composes with --check-baseline: the same goldens must pass at any
-  // setting.
+  // Read by nothing: every run takes the domain group's one executor. Only
+  // perfbench sets it (for its rack_pdes workload); the field goes together
+  // with rack_pdes in the next benchmark change.
   int parallel_workers = -1;
 
   // Worker pool / JSONL sink; defaults honour NESTSIM_JOBS and NESTSIM_JSONL.

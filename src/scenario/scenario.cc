@@ -432,26 +432,6 @@ const std::vector<OverrideSpec>& Overrides() {
        [](ExperimentConfig* c, const JsonValue& v) {
          return OverrideInt(v, 0, 4096, &c->predict.oracle_margin);
        }},
-      // Parallel (PDES) execution knobs (src/sim/parallel.h,
-      // docs/PARALLEL.md). Pure execution policy: results are byte-identical
-      // at any setting, so goldens never record them.
-      {"parallel.workers", "integer in [0, 64]",
-       [](ExperimentConfig* c, const JsonValue& v) {
-         return OverrideInt(v, 0, 64, &c->parallel.workers);
-       }},
-      {"parallel.sync", "string (auto | window | lockstep)",
-       [](ExperimentConfig* c, const JsonValue& v) {
-         std::string s;
-         if (!OverrideString(v, &s) || (s != "auto" && s != "window" && s != "lockstep")) {
-           return false;
-         }
-         c->parallel.sync = s;
-         return true;
-       }},
-      {"parallel.lookahead_us", "number in [0, 1e9]",
-       [](ExperimentConfig* c, const JsonValue& v) {
-         return OverrideDouble(v, 0.0, 1e9, &c->parallel.lookahead_us);
-       }},
   };
   return *specs;
 }
@@ -758,7 +738,7 @@ void ParseCluster(const JsonValue* v, const std::string& path, Scenario* out,
   const std::string cpath = path + "/cluster";
   SpecReader reader(*v, cpath, *err);
   out->has_cluster = true;
-  // Named fleet sizes for the PDES scaling study (docs/PARALLEL.md). Applied
+  // Named fleet sizes for rack-scale runs (docs/PARALLEL.md). Applied
   // before "machines" so an explicit machine count overrides the preset.
   std::string preset;
   reader.TakeEnum("preset", &preset, {"rack8", "rack16", "rack32"});

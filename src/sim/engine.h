@@ -66,10 +66,9 @@ class Engine {
   // Non-const because reading the heap top lazily reclaims cancelled entries.
   SimTime NextEventTime() { return queue_.Empty() ? kNoEvent : queue_.NextTime(); }
 
-  // Jumps the clock forward to `t` without firing anything. The conservative
-  // PDES synchronizer (src/sim/parallel.h) uses this to commit a domain to a
-  // window boundary it has already drained, and to line every domain clock up
-  // before a cross-domain event or the final metric harvest (lazy integrators
+  // Jumps the clock forward to `t` without firing anything. The domain group
+  // (src/sim/parallel.h) uses this to line every domain clock up before a
+  // cross-domain event or the final metric harvest (lazy integrators
   // such as HardwareModel::EnergyJoules integrate "up to Now()", so clocks
   // must agree on where the run ended). `t` must be >= Now(); events still
   // pending before `t` are not fired and keep their timestamps.

@@ -1,53 +1,27 @@
-// Conservative parallel discrete-event execution (docs/PARALLEL.md).
+// The domain group: one simulation over per-machine engines (docs/PARALLEL.md).
 //
 // A DomainGroup partitions one simulation into N *domains* — independent
 // Engines, each with its own event queue and clock (the cluster layer gives
 // every machine a domain) — plus one *coordinator* Engine carrying every
 // cross-domain event: request arrivals with their router decision, and the
 // replica-quorum reaps. Domains never touch each other's state directly; all
-// interaction flows through coordinator events, and that isolation is what
-// makes the window synchronizer below conservative.
+// interaction flows through coordinator events.
 //
 // Run() executes the union of all queues in one canonical total order:
 //
 //   (timestamp, domain id, insertion seq)   — coordinator = highest domain id
 //
-// The order is a property of the event data alone, never of thread
-// scheduling, so a run's results are byte-identical at any worker count.
-// Two executors produce it:
-//
-//  * the merged loop — the serial reference executor: repeatedly fire the
-//    globally earliest event across all queues, advancing every domain clock
-//    to a coordinator event's timestamp before it fires (lazy integrators
-//    such as PELT and the energy model read their domain clock);
-//
-//  * the windowed executor — between consecutive coordinator events no
-//    domain can affect another, so the span up to the next coordinator
-//    timestamp (the group's lower bound on cross-domain time, LBTS) is a
-//    safe window every domain executes independently. A worker pool and
-//    the calling thread pump domains concurrently through every event
-//    strictly before that timestamp, a barrier commits the window, the
-//    coordinator instant drains serially in canonical order, and the cycle
-//    repeats. An optional lookahead cap bounds window length (a
-//    null-message-style heartbeat) so wall-clock abort polling stays
-//    responsive across long arrival gaps. Once the coordinator queue drains
-//    (or the next coordinator event lies past the time limit) the run
-//    finishes on the merged loop, which alone evaluates the liveness
-//    predicate exactly per event.
-//
-// Feedback with zero lookahead — task replication, whose quorum reaps are
-// scheduled *at the current instant* from inside domain events — cannot be
-// windowed; Run() must then be given lockstep = true, which executes the
-// merged loop wholesale (on a pool thread when workers > 0, so the
-// threading is still exercised). This is the textbook degenerate case of a
-// conservative synchronizer: zero lookahead serializes.
+// by repeatedly firing the globally earliest event across all queues, and
+// advancing every domain clock to a coordinator event's timestamp before it
+// fires (lazy integrators such as PELT and the energy model read their
+// domain clock). The order is a property of the event data alone, and every
+// golden was recorded on it.
 
 #ifndef NESTSIM_SRC_SIM_PARALLEL_H_
 #define NESTSIM_SRC_SIM_PARALLEL_H_
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -55,33 +29,10 @@
 
 namespace nestsim {
 
-// Execution knobs, carried by ExperimentConfig as `config.parallel` and set
-// from scenario files via the parallel.* override keys (docs/SCENARIOS.md).
-// Parallel execution is invisible in every result: goldens recorded at
-// workers = 0 must verify at any worker count.
-struct ParallelParams {
-  // Worker threads pumping domains. 0 = serial: the merged reference loop on
-  // the calling thread. >0 spawns that many threads, and the calling thread
-  // pumps windows alongside them (a single-domain run then executes
-  // wholesale on one of the spawned threads).
-  int workers = 0;
-
-  // "auto" | "window" | "lockstep". Auto picks the windowed executor and
-  // falls back to lockstep when windowing is unsafe (replicas > 1); "window"
-  // falls back the same way; "lockstep" always runs the merged loop.
-  std::string sync = "auto";
-
-  // Caps the conservative window length, in simulated microseconds; 0 keeps
-  // windows uncapped (they span the whole gap to the next coordinator
-  // event). Purely an execution knob: any cap yields identical results.
-  double lookahead_us = 0.0;
-};
-
 // N domain Engines plus one coordinator Engine, executed as one simulation.
 class DomainGroup {
  public:
   explicit DomainGroup(int domains);
-  ~DomainGroup();
   DomainGroup(const DomainGroup&) = delete;
   DomainGroup& operator=(const DomainGroup&) = delete;
 
@@ -97,12 +48,8 @@ class DomainGroup {
   // Sum of events fired across every queue (the bench denominator).
   uint64_t TotalEventsFired() const;
 
-  // Schedules a cross-domain event. Only legal from single-threaded
-  // contexts: setup before Run(), inside another coordinator event, or
-  // inside a domain event under the merged/lockstep executor. Domain events
-  // running under the windowed executor must not call this (worker threads
-  // would race on the coordinator queue) — which is exactly why zero-
-  // lookahead feedback forces lockstep.
+  // Schedules a cross-domain event: during setup before Run(), or from
+  // inside any event.
   EventId ScheduleCoordinator(SimTime t, EventFn fn) {
     return coordinator_.ScheduleAt(t, std::move(fn));
   }
@@ -110,30 +57,16 @@ class DomainGroup {
   struct RunOptions {
     SimTime time_limit = 0;
 
-    // See ParallelParams::workers. 0 runs everything on the calling thread.
-    int workers = 0;
-
-    // Force the merged loop even when workers > 0 (zero-lookahead feedback).
-    bool lockstep = false;
-
-    // Window-length cap (ParallelParams::lookahead_us, converted); 0 = none.
-    SimDuration max_window = 0;
-
-    // Loop predicate, required: keep running while it returns true. The
-    // merged loop evaluates it before every event, exactly like the
-    // single-engine experiment loop; the windowed executor evaluates it only
-    // at barriers, which is sound because the predicate cannot go false
-    // while coordinator arrivals are still pending.
+    // Loop predicate, required: keep running while it returns true. Run()
+    // evaluates it before every event, exactly like the single-engine
+    // experiment loop.
     std::function<bool()> live;
 
-    // Wall-clock cancellation, polled every few thousand events. Under the
-    // windowed executor workers poll it concurrently, so it must be
-    // thread-safe (the campaign's steady-clock deadline hook is).
+    // Wall-clock cancellation, polled every few thousand events.
     std::function<bool()> should_abort;
 
-    // Fail-fast hook (the invariant checker), polled on the same stride from
-    // the merged loop and at windowed barriers; returning false stops the
-    // run so the caller can raise the report.
+    // Fail-fast hook (the invariant checker), polled on the same stride;
+    // returning false stops the run so the caller can raise the report.
     std::function<bool()> healthy;
   };
 
@@ -152,16 +85,9 @@ class DomainGroup {
   void AdvanceAllTo(SimTime t);
 
  private:
-  class Pool;
-
-  RunResult RunMerged(const RunOptions& options);
-  RunResult RunWindowed(const RunOptions& options);
-  void EnsurePool(int workers);
-
   std::vector<std::unique_ptr<Engine>> domains_;
   Engine coordinator_;
   SimTime global_now_ = 0;
-  std::unique_ptr<Pool> pool_;
 };
 
 }  // namespace nestsim

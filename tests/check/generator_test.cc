@@ -77,7 +77,7 @@ TEST(GeneratorTest, ClusterDrawsForceRequestsTrafficAndStaySmall) {
     }
     ++clusters;
     // Mostly 1-4 machines; an occasional rack-sized draw (up to 8) keeps the
-    // cross-machine PDES paths fuzzed without blowing the runtime budget.
+    // cross-machine paths fuzzed without blowing the runtime budget.
     const double machines = cluster->Find("machines")->number;
     EXPECT_GE(machines, 1) << "seed " << seed;
     EXPECT_LE(machines, 8) << "seed " << seed;

@@ -91,21 +91,16 @@ TEST(ClusterDifferentialTest, PassthroughSingleMachineIsDigestIdentical) {
   }
 }
 
-// The optional observers hold the identity too, serially and on a worker
-// thread: recorded wakeup latencies, and core kills whose evacuations feed
-// the resilience block.
+// The optional observers hold the identity too: recorded wakeup latencies,
+// and core kills whose evacuations feed the resilience block.
 TEST(ClusterDifferentialTest, PassthroughWithLatencyIsDigestIdentical) {
   RequestSpec spec = SmallTraffic();
   spec.io_pause_ms = 0.2;  // parts block once, so they have wakeups to sample
   const RequestWorkload workload(spec);
-  for (const int workers : {0, 1}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    ExperimentConfig config = SmallConfig(SchedulerKind::kNest);
-    config.record_latency = true;
-    config.parallel.workers = workers;
-    ExpectPassthroughIdentical(config, workload);
-    EXPECT_GT(RunExperiment(config, workload).p99_wakeup_latency_us, 0.0);
-  }
+  ExperimentConfig config = SmallConfig(SchedulerKind::kNest);
+  config.record_latency = true;
+  ExpectPassthroughIdentical(config, workload);
+  EXPECT_GT(RunExperiment(config, workload).p99_wakeup_latency_us, 0.0);
 }
 
 TEST(ClusterDifferentialTest, PassthroughWithCoreKillsIsDigestIdentical) {
@@ -115,17 +110,13 @@ TEST(ClusterDifferentialTest, PassthroughWithCoreKillsIsDigestIdentical) {
   spec.service_ms = 2.0;
   spec.duration_s = 0.1;
   const RequestWorkload workload(spec);
-  for (const int workers : {0, 1}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    ExperimentConfig config = SmallConfig(SchedulerKind::kCfs);
-    config.fault.core_fail_rate_per_s = 100.0;
-    config.fault.core_downtime_ms = 5.0;
-    config.parallel.workers = workers;
-    ExpectPassthroughIdentical(config, workload);
-    const ExperimentResult single = RunExperiment(config, workload);
-    EXPECT_GT(single.counters.faults_injected, 0u);
-    EXPECT_GT(single.resilience.evacuations, 0u);
-  }
+  ExperimentConfig config = SmallConfig(SchedulerKind::kCfs);
+  config.fault.core_fail_rate_per_s = 100.0;
+  config.fault.core_downtime_ms = 5.0;
+  ExpectPassthroughIdentical(config, workload);
+  const ExperimentResult single = RunExperiment(config, workload);
+  EXPECT_GT(single.counters.faults_injected, 0u);
+  EXPECT_GT(single.resilience.evacuations, 0u);
 }
 
 TEST(ClusterDifferentialTest, ClusterRunIsRepeatable) {

@@ -1,7 +1,7 @@
 // The decision-trace export invariants (src/scenario/decision_export.h): the
-// serialized stream is byte-identical at any campaign worker count, any PDES
-// --parallel setting, and with tracing on or off; and attaching the trace
-// sink never perturbs the simulation it observes.
+// serialized stream is byte-identical at any campaign worker count and with
+// tracing on or off; and attaching the trace sink never perturbs the
+// simulation it observes.
 
 #include "src/scenario/decision_export.h"
 
@@ -92,10 +92,13 @@ TEST(ExportInvarianceTest, StreamIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(CountLines(serial), CountLines(serial_jsonl) + 1);
 }
 
+// Every run takes the domain group's one executor, so parallel_workers is
+// read by nothing; perfbench still sets it for rack_pdes, whose results must
+// match rack's. The test goes together with the field.
 TEST(ExportInvarianceTest, StreamIsByteIdenticalAcrossParallelModes) {
   const Scenario scenario = ExportScenario();
   ScenarioRunOptions options = QuietOptions(2);
-  options.parallel_workers = 0;  // serial reference loop
+  options.parallel_workers = 0;
   const std::string reference = ExportStream(scenario, options);
   for (const int workers : {1, 2, 4}) {
     options.parallel_workers = workers;

@@ -122,6 +122,17 @@ TEST(BaselineTest, PerturbedSeedFails) {
   EXPECT_FALSE(check.ok());
   ASSERT_FALSE(check.problems.empty());
   EXPECT_NE(check.problems[0].find("base_seed"), std::string::npos) << check.problems[0];
+  // The header mismatch does not end the check: every job is still compared,
+  // and each run reports its own seed change.
+  EXPECT_EQ(check.compared, 2);
+  bool per_run = false;
+  for (const std::string& problem : check.problems) {
+    if (problem.find("tiny-gcc x CFS sched: seed changed: golden 3, fresh 99") !=
+        std::string::npos) {
+      per_run = true;
+    }
+  }
+  EXPECT_TRUE(per_run) << ::testing::PrintToString(check.problems);
 }
 
 TEST(BaselineTest, TamperedGoldenFieldFails) {

@@ -199,6 +199,16 @@ TEST(ScenarioParseTest, ConfigOverridesAreValidated) {
   EXPECT_TRUE(Mentions(bad, "nest.p_remove_ticks")) << bad.Join();  // known-keys list
 }
 
+// A scenario that still sets a removed parallel.* key gets the ordinary
+// unknown-key diagnostic.
+TEST(ScenarioParseTest, RemovedParallelKeysAreUnknown) {
+  const ScenarioError err = MustFail(R"({
+    "name":"t","workload":{"family":"nas"},
+    "config":{"parallel.workers":4}
+  })");
+  EXPECT_TRUE(Mentions(err, "unknown config key \"parallel.workers\"")) << err.Join();
+}
+
 TEST(ScenarioParseTest, FaultAndPowerOverridesAreValidated) {
   // The fault/replica/budget family (docs/FAULTS.md §8) rides the same
   // override table as every other key: accepted in config and sweep, range-
@@ -348,13 +358,10 @@ TEST(ScenarioParseTest, ConfigOverrideKeysAreStable) {
     JsonValue text;
     text.type = JsonValue::Type::kString;
     // A governor name, so the domain-checked "governor" key applies too;
-    // the free-form string keys accept it like any other text. The PDES sync
-    // key only admits its own enum, so it gets a member of that set, and the
+    // the free-form string keys accept it like any other text. The
     // eagerly-loaded model path gets the committed model (resolved like a
     // scenario path, so it is found from the repo root and from build/).
-    text.string = key == "parallel.sync"        ? "lockstep"
-                  : key == "predict.model_file" ? "models/tiny-predict.json"
-                                                : "schedutil";
+    text.string = key == "predict.model_file" ? "models/tiny-predict.json" : "schedutil";
     const bool applied = ApplyConfigOverride(&config, key, num, "p", &err) ||
                          ApplyConfigOverride(&config, key, flag, "p", &err) ||
                          ApplyConfigOverride(&config, key, text, "p", &err);

@@ -30,10 +30,9 @@
 #      fault.*/power.*/nest_budget.* config key (plus `replicas`) the
 #      scenario engine accepts is documented there, and so is every
 #      resilience field the campaign JSONL sink can emit;
-#  14. docs/PARALLEL.md is linked from README.md and DESIGN.md, every
-#      parallel.* config key the scenario engine accepts is documented
-#      there, and so are the huge-machine and rack preset names the PDES
-#      layer ships (intel-8153-4s/8s, rack8/16/32);
+#  14. docs/PARALLEL.md is linked from README.md and DESIGN.md, and
+#      documents the huge-machine and rack preset names
+#      (intel-8153-4s/8s, rack8/16/32);
 #  15. docs/PREDICTION.md is linked from README.md and DESIGN.md, every
 #      exported feature column and per-core suffix (the kFeatureColumns /
 #      kPerCoreColumnSuffixes initializers in src/predict/features.h) is
@@ -230,26 +229,17 @@ for field in $(sed -n '/r.resilience.any()/,/^      }/p' src/campaign/jsonl_sink
   fi
 done
 
-# 14. The parallel-PDES reference is reachable, documents every parallel.*
-#     key the scenario engine accepts (from the same scenario.cc table rule 8
-#     reads), and names the huge-machine and rack presets that exist for
-#     PDES-scale runs.
+# 14. The domain-group reference is reachable and names the huge-machine and
+#     rack presets that exist for rack-scale runs.
 for doc in README.md DESIGN.md; do
   if ! grep -q 'docs/PARALLEL.md' "$doc"; then
     echo "FAIL: $doc does not link docs/PARALLEL.md"
     fail=1
   fi
 done
-for key in $(grep -ohE '\{"parallel\.[a-z_]+", "(bool|string|number|integer)' \
-               src/scenario/scenario.cc | sed 's/{"//; s/".*//' | sort -u); do
-  if ! grep -q "\`$key\`" docs/PARALLEL.md; then
-    echo "FAIL: parallel config key '$key' is accepted by src/scenario/ but not documented in docs/PARALLEL.md"
-    fail=1
-  fi
-done
 for preset in "intel-8153-4s" "intel-8153-8s" "rack8" "rack16" "rack32"; do
   if ! grep -q "\`$preset\`" docs/PARALLEL.md; then
-    echo "FAIL: PDES preset '$preset' is not documented in docs/PARALLEL.md"
+    echo "FAIL: rack-scale preset '$preset' is not documented in docs/PARALLEL.md"
     fail=1
   fi
 done

@@ -5,10 +5,10 @@
 
 Each RESULT_FILE holds the stdout of `perfbench/run.py --workload W ...
 --trace 0` runs: a manifest line naming the workload, then its result line.
-Floors are keyed "<workload>/<metric>", ratio floors "<key> / <key>". Exits 1,
-naming each problem, when a result is not correct or has failed jobs, when a
-floored workload or metric is missing or a key is malformed, or when a value
-or ratio is below floor x (1 - max_regression_pct / 100); exits 0 otherwise.
+Floors are keyed "<workload>/<metric>". Exits 1, naming each problem, when a
+result is not correct or has failed jobs, when a floored workload or metric is
+missing or a key is malformed, or when a value is below
+floor x (1 - max_regression_pct / 100); exits 0 otherwise.
 """
 
 import json
@@ -50,22 +50,15 @@ def main(argv):
             raise LookupError(f"{workload} reports no {metric}")
         return results[workload]["metrics"][metric]["value"]
 
-    def ratio(key):
-        num, sep, den = key.partition(" / ")
-        if not sep:
-            raise LookupError(f"malformed ratio key {key!r}")
-        return value(num) / value(den)
-
-    checks = [(k, f, value) for k, f in floor.get("floors", {}).items()]
-    checks += [(k, f, ratio) for k, f in floor.get("ratio_floors", {}).items()]
-    if not checks:
+    floors = floor.get("floors", {})
+    if not floors:
         problems.append(f"{argv[1]} sets no floors")
-    for key, f, measure in checks:
+    for key, f in floors.items():
         try:
             if not isinstance(f, (int, float)) or f <= 0:
                 raise LookupError(f"floor {f!r} is not a positive number")
-            fresh = measure(key)
-        except (LookupError, ZeroDivisionError) as e:
+            fresh = value(key)
+        except LookupError as e:
             problems.append(f"{key}: {e}")
             continue
         verdict = "ok" if fresh >= f * band else "BELOW"

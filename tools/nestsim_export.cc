@@ -9,9 +9,8 @@
 //   nestsim_export --list-columns          print the feature schema and exit
 //
 // One row is captured per fork/wake placement decision, in job order — the
-// stream is byte-identical at any NESTSIM_JOBS worker count and any
-// --parallel PDES setting. Honours NESTSIM_JOBS, NESTSIM_REPS and
-// NESTSIM_SCENARIO_DIR like nestsim_run.
+// stream is byte-identical at any NESTSIM_JOBS worker count. Honours
+// NESTSIM_JOBS, NESTSIM_REPS and NESTSIM_SCENARIO_DIR like nestsim_run.
 
 #include <cstdio>
 #include <cstdlib>
@@ -41,9 +40,7 @@ int Usage(const char* argv0) {
       "  --list-columns       print the feature schema and exit\n"
       "  --reps N             repetitions per cell (beats NESTSIM_REPS)\n"
       "  --base-seed N        first seed (scenario default otherwise)\n"
-      "  --timeout S          per-job wall-clock budget in seconds\n"
-      "  --parallel N         PDES worker threads per job (0 = serial reference\n"
-      "                       loop; the stream is byte-identical at any N)\n",
+      "  --timeout S          per-job wall-clock budget in seconds\n",
       argv0);
   return 2;
 }
@@ -120,14 +117,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--base-seed") {
       options.has_base_seed = true;
       options.base_seed = std::strtoull(value("--base-seed"), nullptr, 10);
-    } else if (arg == "--parallel") {
-      const char* v = value("--parallel");
-      long n = 0;
-      if (!ParseCliInt(v, 0, 64, &n)) {
-        std::fprintf(stderr, "--parallel needs an integer in [0, 64], got '%s'\n", v);
-        return 2;
-      }
-      options.parallel_workers = static_cast<int>(n);
     } else if (arg == "--timeout") {
       const char* v = value("--timeout");
       if (!ParseCliPositiveDouble(v, &options.timeout_override_s)) {

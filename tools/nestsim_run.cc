@@ -43,8 +43,6 @@ int Usage(const char* argv0) {
       "  --reps N             repetitions per cell (beats NESTSIM_REPS)\n"
       "  --base-seed N        first seed (scenario default otherwise)\n"
       "  --timeout S          per-job wall-clock budget in seconds\n"
-      "  --parallel N         PDES worker threads per job (0 = serial reference\n"
-      "                       loop; results are byte-identical at any N)\n"
       "  --record-baseline    write golden baselines/<name>.jsonl\n"
       "  --check-baseline     compare against the golden; write the verdict\n"
       "  --baseline-dir DIR   golden directory (default: baselines)\n"
@@ -149,15 +147,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--base-seed") {
       options.has_base_seed = true;
       options.base_seed = std::strtoull(value("--base-seed"), nullptr, 10);
-    } else if (arg == "--parallel") {
-      const char* v = value("--parallel");
-      char* end = nullptr;
-      const long n = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || n < 0 || n > 64) {
-        std::fprintf(stderr, "--parallel needs an integer in [0, 64], got '%s'\n", v);
-        return 2;
-      }
-      options.parallel_workers = static_cast<int>(n);
     } else if (arg == "--timeout") {
       const char* v = value("--timeout");
       if (!ParseCliPositiveDouble(v, &options.timeout_override_s)) {
@@ -215,9 +204,17 @@ int main(int argc, char** argv) {
         exit_code = 1;
       }
     }
-    for (const JobOutcome& outcome : run.outcomes) {
-      if (!outcome.ok()) {
-        exit_code = 1;
+    for (size_t i = 0; i < run.outcomes.size(); ++i) {
+      const JobOutcome& outcome = run.outcomes[i];
+      if (outcome.ok()) {
+        continue;
+      }
+      exit_code = 1;
+      if (no_table) {  // the table path reports the first failure itself
+        const Job& job = run.jobs[i];
+        std::fprintf(stderr, "[job] %s x %s x %s %s%s%s\n", job.config.machine.c_str(),
+                     job.workload.c_str(), job.variant.c_str(), JobStatusName(outcome.status),
+                     outcome.message.empty() ? "" : ": ", outcome.message.c_str());
       }
     }
     if (record_baseline) {
