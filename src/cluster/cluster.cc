@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "src/cluster/arrival_feed.h"
 #include "src/cluster/router.h"
 #include "src/core/machine_model.h"
 #include "src/metrics/latency.h"
@@ -42,7 +42,15 @@ class RequestTracker : public KernelObserver {
     return kObsContextSwitch | kObsTaskExit | kObsFaultEvent;
   }
 
-  void Track(int tid, size_t copy_index) { parts_by_tid_[tid] = copy_index; }
+  // A kernel hands out tids 1, 2, 3, ... and every task on a fleet machine is
+  // an injected copy, so a vector indexed by tid is dense.
+  void Track(int tid, size_t copy_index) {
+    const auto slot = static_cast<size_t>(tid);
+    if (slot >= copy_by_tid_.size()) {
+      copy_by_tid_.resize(slot + 1, kUntracked);
+    }
+    copy_by_tid_[slot] = copy_index;
+  }
 
   void OnContextSwitch(SimTime now, int cpu, const Task* prev, const Task* next) override {
     (void)cpu;
@@ -50,18 +58,18 @@ class RequestTracker : public KernelObserver {
     if (next == nullptr) {
       return;
     }
-    const auto it = parts_by_tid_.find(next->tid);
-    if (it != parts_by_tid_.end() && (*progress_)[it->second].first_run < 0) {
-      (*progress_)[it->second].first_run = now;
+    const size_t copy = CopyOf(next->tid);
+    if (copy != kUntracked && (*progress_)[copy].first_run < 0) {
+      (*progress_)[copy].first_run = now;
     }
   }
 
   void OnTaskExit(SimTime now, const Task& task) override {
-    const auto it = parts_by_tid_.find(task.tid);
-    if (it != parts_by_tid_.end()) {
-      (*progress_)[it->second].exit = now;
+    const size_t copy = CopyOf(task.tid);
+    if (copy != kUntracked) {
+      (*progress_)[copy].exit = now;
       if (exit_fn_) {
-        exit_fn_(it->second, now);
+        exit_fn_(copy, now);
       }
     }
   }
@@ -74,15 +82,22 @@ class RequestTracker : public KernelObserver {
     if (kind != FaultEventKind::kTaskKilled || task == nullptr) {
       return;
     }
-    const auto it = parts_by_tid_.find(task->tid);
-    if (it != parts_by_tid_.end()) {
-      (*progress_)[it->second].killed = true;
+    const size_t copy = CopyOf(task->tid);
+    if (copy != kUntracked) {
+      (*progress_)[copy].killed = true;
     }
   }
 
  private:
+  static constexpr size_t kUntracked = static_cast<size_t>(-1);
+
+  size_t CopyOf(int tid) const {
+    const auto slot = static_cast<size_t>(tid);
+    return slot < copy_by_tid_.size() ? copy_by_tid_[slot] : kUntracked;
+  }
+
   std::vector<PartProgress>* progress_;
-  std::unordered_map<int, size_t> parts_by_tid_;
+  std::vector<size_t> copy_by_tid_;  // indexed by tid; kUntracked if not a copy
   ExitFn exit_fn_;
 };
 
@@ -130,22 +145,23 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   }
 
   // Same stream the single-machine Setup path uses: one Fork() off the seed.
+  // The traffic is drawn from it as the run reaches each arrival instant.
   Rng rng(config.seed);
   Rng wl_rng = rng.Fork();
-  const RequestPlan plan = requests->BuildPlan(wl_rng);
+  RequestStream stream(requests->spec(), &wl_rng);
   // Each part is injected as `replicas` copies (1 unless configured); the
   // first `quorum` copies to exit win and the rest are reaped fleet-wide.
   const int replicas = std::max(1, config.fault.replicas);
   const int quorum = std::min(std::max(1, config.fault.quorum), replicas);
-  progress.resize(plan.parts.size() * static_cast<size_t>(replicas));
 
   const int cpus_per_machine = kernels[0]->topology().num_cpus();
 
-  // The fault plan is drawn after the traffic plan from a forked generator —
-  // second fork off the seed, exactly like the single-machine path — so
-  // enabling faults perturbs no workload draw. Each machine replays its own
-  // slice; whole-machine crashes are handled here (kill every live task, mark
-  // the machine dead for the router) because only the runner sees the fleet.
+  // The fault plan is drawn from a forked generator — second fork off the
+  // seed, exactly like the single-machine path — so enabling faults perturbs
+  // no workload draw, and when the traffic is drawn changes nothing. Each
+  // machine replays its own slice; whole-machine crashes are handled here
+  // (kill every live task, mark the machine dead for the router) because only
+  // the runner sees the fleet.
   std::vector<char> alive(static_cast<size_t>(n), 1);
   FaultPlan fault_plan;
   std::vector<std::unique_ptr<FaultInjector>> injectors;
@@ -156,7 +172,7 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
       // Each machine's slice of the plan replays on that machine's own
       // domain engine: crashes, repairs, and core faults are domain-local
       // events (only alive[], read by the coordinator's arrivals, leaks out,
-      // and windows are committed before every arrival).
+      // and every domain clock is committed before each arrival).
       injectors.push_back(std::make_unique<FaultInjector>(
           &group.domain(m), kernels[static_cast<size_t>(m)], &fault_plan, m));
       injectors.back()->set_machine_event_fn([&kernels, &alive, m](SimTime now, bool fail) {
@@ -189,14 +205,21 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   std::vector<CopyRef> copy_refs;
   std::vector<int> part_exits;
   std::vector<SimTime> part_quorum_exit;
-  if (replicas > 1) {
-    copy_refs.resize(progress.size());
-    part_exits.assign(plan.parts.size(), 0);
-    part_quorum_exit.assign(plan.parts.size(), -1);
-  }
+  // Per-part state grows as parts fire, and after the run to every
+  // scheduled part.
+  auto grow_to = [&](size_t parts) {
+    progress.resize(parts * static_cast<size_t>(replicas));
+    if (replicas > 1) {
+      copy_refs.resize(progress.size());
+      part_exits.resize(parts, 0);
+      part_quorum_exit.resize(parts, -1);
+    }
+  };
   // The reap is a cross-domain event (losing copies live on other machines),
   // so it rides the coordinator, scheduled from inside a domain's exit event
-  // at the exit instant.
+  // at the exit instant. Precondition for the canonical order: it fires after
+  // every arrival at that instant, because the feed queued those while the
+  // previous instant fired (arrival_feed.h), so they hold lower seqs.
   auto on_copy_exit = [&group, &copy_refs, &part_exits, &part_quorum_exit, replicas,
                        quorum](size_t copy, SimTime now) {
     const size_t part = copy / static_cast<size_t>(replicas);
@@ -224,55 +247,49 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
     }
   }
 
-  // One coordinator event per part, scheduled in plan (arrival) order — the
-  // same insertion order Kernel::ScheduleInjection would produce, so a
-  // 1-machine passthrough cluster replays the exact single-machine event
-  // sequence. The router runs inside the arrival event so load-aware
-  // policies see live state — every domain clock is committed to the arrival
-  // instant before it fires; the traffic itself was drawn above and cannot
-  // be perturbed. Dead machines are failed over to the next alive one in
-  // index order; a copy with no alive machine at all is dropped (and its
-  // request fails).
-  int64_t pending = static_cast<int64_t>(plan.parts.size());
+  // One coordinator event per part, fired in plan (arrival) order — the
+  // same order Kernel::ScheduleInjection produces, so a 1-machine passthrough
+  // cluster replays the exact single-machine event sequence. The feed queues
+  // each arrival instant while the previous one fires. The router runs inside
+  // the arrival event so load-aware policies see live state — every domain
+  // clock is committed to the arrival instant before it fires; the traffic
+  // comes from its own generator and cannot be perturbed. Dead machines are
+  // failed over to the next alive one in index order; a copy with no alive
+  // machine at all is dropped (and its request fails).
   std::vector<uint64_t> routed(static_cast<size_t>(n), 0);
   const int tag = requests->tag();
-  for (size_t i = 0; i < plan.parts.size(); ++i) {
-    const RequestPart& part = plan.parts[i];
-    group.ScheduleCoordinator(part.arrival, [&kernels, &hardware, &plan, &routed, &trackers,
-                                             &router, &pending, &alive, &progress, &copy_refs, tag,
-                                             i, replicas, n] {
-      --pending;
-      const RequestPart& p = plan.parts[i];
-      for (int r = 0; r < replicas; ++r) {
-        const size_t copy = i * static_cast<size_t>(replicas) + static_cast<size_t>(r);
-        int m = router->Route(kernels, hardware);
+  ArrivalFeed feed(&group, &stream, [&](size_t i, RequestPart& p) {
+    grow_to(i + 1);
+    for (int r = 0; r < replicas; ++r) {
+      const size_t copy = i * static_cast<size_t>(replicas) + static_cast<size_t>(r);
+      int m = router->Route(kernels, hardware);
+      if (!alive[static_cast<size_t>(m)]) {
+        const int first = m;
+        do {
+          m = m + 1 < n ? m + 1 : 0;
+        } while (!alive[static_cast<size_t>(m)] && m != first);
         if (!alive[static_cast<size_t>(m)]) {
-          const int first = m;
-          do {
-            m = m + 1 < n ? m + 1 : 0;
-          } while (!alive[static_cast<size_t>(m)] && m != first);
-          if (!alive[static_cast<size_t>(m)]) {
-            progress[copy].dropped = true;
-            continue;
-          }
-        }
-        ++routed[static_cast<size_t>(m)];
-        std::string name = p.name;
-        if (r > 0) {
-          name += ".r" + std::to_string(r);
-        }
-        Kernel* kernel = kernels[static_cast<size_t>(m)];
-        Task* task = kernel->InjectTask(p.program, std::move(name), tag);
-        trackers[static_cast<size_t>(m)]->Track(task->tid, copy);
-        if (replicas > 1) {
-          copy_refs[copy] = CopyRef{kernel, task};
+          progress[copy].dropped = true;
+          continue;
         }
       }
-    });
-  }
+      ++routed[static_cast<size_t>(m)];
+      std::string name = p.name;
+      if (r > 0) {
+        name += ".r" + std::to_string(r);
+      }
+      Kernel* kernel = kernels[static_cast<size_t>(m)];
+      Task* task = kernel->InjectTask(p.program, std::move(name), tag);
+      trackers[static_cast<size_t>(m)]->Track(task->tid, copy);
+      if (replicas > 1) {
+        copy_refs[copy] = CopyRef{kernel, task};
+      }
+    }
+  });
+  feed.Start();
 
   auto fleet_live = [&] {
-    if (pending > 0) {
+    if (feed.live()) {
       return true;
     }
     for (const Kernel* kernel : kernels) {
@@ -284,29 +301,38 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   };
   ExperimentResult result = RunMachines(config, &group, machines, fleet_live);
   const SimTime end = result.makespan;
+  // A run cut short by the time limit or an abort still offered the whole
+  // trace: draw the rest to count it. Parts scheduled but never fired keep
+  // their empty progress.
+  for (std::vector<RequestPart> rest; stream.Next(&rest);) {
+    rest.clear();
+  }
+  grow_to(feed.parts_scheduled());
 
   // ---- Serving metrics. ----
   ClusterStats& stats = result.cluster;
   stats.num_machines = n;
   stats.router = router->name();
-  stats.requests_offered = plan.requests;
+  stats.requests_offered = stream.requests();
 
   // A request completes when every part (parent + fan-out subs) exited — with
-  // replicas, when every part reached its quorum. Parts are plan-ordered
-  // request-major, so one linear walk groups them. A request a fault touched
-  // (a copy killed or dropped) counts as *failed* when it never completed and
-  // as *degraded* when the surviving copies still completed it.
+  // replicas, when every part reached its quorum. Requests never scheduled
+  // have no record and, like scheduled ones that never ran, count as neither.
+  // A request a fault touched (a copy killed or dropped) counts as *failed*
+  // when it never completed and as *degraded* when the surviving copies
+  // still completed it.
   LatencyDistribution e2e_ms;
   std::vector<double> queue_ms;
   std::vector<double> service_ms;
-  size_t i = 0;
-  while (i < plan.parts.size()) {
-    const uint64_t req = plan.parts[i].request;
-    const SimTime arrival = plan.parts[i].arrival;
+  const std::vector<RequestRecord>& records = feed.requests();
+  for (size_t req = 0; req < records.size(); ++req) {
+    const SimTime arrival = records[req].arrival;
+    const size_t parts_end =
+        req + 1 < records.size() ? records[req + 1].first_part : feed.parts_scheduled();
     bool complete = true;
     bool fault_touched = false;
     SimTime req_last_exit = 0;
-    while (i < plan.parts.size() && plan.parts[i].request == req) {
+    for (size_t i = records[req].first_part; i < parts_end; ++i) {
       SimTime part_exit = -1;
       for (int r = 0; r < replicas; ++r) {
         const PartProgress& p = progress[i * static_cast<size_t>(replicas) + static_cast<size_t>(r)];
@@ -322,7 +348,6 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
       } else {
         req_last_exit = std::max(req_last_exit, part_exit);
       }
-      ++i;
     }
     if (complete) {
       ++stats.requests_completed;

@@ -8,10 +8,11 @@
 // arrivals with their router decision, replica-quorum reaps) rides the
 // group's coordinator timeline. Events execute in the group's canonical
 // (timestamp, domain id, seq) order, so the whole fleet is bit-reproducible
-// from one seed. The runner replays an open-loop RequestWorkload traffic plan
-// against the fleet: each arrival asks the RequestRouter for a machine and is
-// injected there through the scheduler's fork path, and end-to-end request
-// latency (arrival to last-part exit) is measured fleet-wide. Everything
+// from one seed. The runner streams an open-loop RequestWorkload's traffic
+// into the fleet one arrival instant ahead of the run (arrival_feed.h): each
+// arrival asks the RequestRouter for a machine and is injected there through
+// the scheduler's fork path, and end-to-end request latency (arrival to
+// last-part exit) is measured fleet-wide. Everything
 // else — the machine stack, its observers, the pump and the per-machine
 // metrics — is RunExperiment's, through RunMachines.
 //

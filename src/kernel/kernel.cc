@@ -297,6 +297,7 @@ void Kernel::ExitCurrent(int cpu) {
   task->prev_cpu = cpu;
   task->state = TaskState::kDead;
   task->exited_at = engine_->Now();
+  task->program.reset();  // nothing reads a dead task's program again
   --live_tasks_;
   --runnable_tasks_;
   cs.rq.set_curr(nullptr);
@@ -1083,6 +1084,7 @@ void Kernel::KillTask(Task* task, FaultEventKind kind) {
   }
   task->state = TaskState::kDead;
   task->exited_at = now;
+  task->program.reset();
   --live_tasks_;
   sync_.ForgetTask(task);
   // Deliberately no OnTaskExit: killed work must not count as completed.

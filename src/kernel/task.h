@@ -90,7 +90,8 @@ struct Task {
   std::string name;
   int tag = 0;  // workload tag; metrics are segregated per tag
 
-  // Program interpreter state.
+  // Program interpreter state. The kernel drops `program` when the task
+  // exits or is killed.
   ProgramPtr program;
   size_t pc = 0;
   struct LoopFrame {

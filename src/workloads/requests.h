@@ -8,10 +8,15 @@
 // fan-out parts) injected through the scheduler's fork path via
 // Kernel::ScheduleInjection.
 //
-// All randomness is pre-drawn into a RequestPlan in arrival order, so the
-// same seed yields the same traffic whether the plan is replayed on one
-// machine (Workload::Setup) or routed across a cluster (src/cluster/) — the
-// router's choice cannot perturb the draws.
+// A RequestStream draws the traffic one request at a time, in arrival order,
+// from its own forked generator, so the same seed yields the same traffic
+// whether it is replayed on one machine or routed across a cluster: neither
+// the router's choice nor when the stream is read can perturb the draws. A
+// cluster (src/cluster/arrival_feed.h) reads it one arrival instant ahead of
+// the run. Workload::Setup schedules the whole plan (BuildPlan, a drain of
+// the stream) before the run instead: on one engine an injection queued
+// during the run would sort behind kernel events already queued for its
+// instant, which reorders ties (docs/CLUSTER.md).
 
 #ifndef NESTSIM_SRC_WORKLOADS_REQUESTS_H_
 #define NESTSIM_SRC_WORKLOADS_REQUESTS_H_
@@ -78,6 +83,30 @@ struct RequestPlan {
   uint64_t requests = 0;           // parent count (offered load)
 };
 
+// The traffic trace as a generator: each Next() draws one request's parts.
+// Draining a stream makes exactly the draws BuildPlan makes, in the same
+// order, because BuildPlan is that drain.
+class RequestStream {
+ public:
+  // Draws from `rng`, which must outlive the stream.
+  RequestStream(RequestSpec spec, Rng* rng);
+
+  // Appends the next request's parts (the parent, then its fan-out subs) to
+  // `out` and returns true, or returns false once the trace is exhausted.
+  bool Next(std::vector<RequestPart>* out);
+
+  // Requests drawn so far; the offered load once Next() returned false.
+  uint64_t requests() const { return requests_; }
+
+ private:
+  RequestSpec spec_;
+  Rng* rng_;
+  double peak_rate_;
+  double t_ = 0.0;  // seconds: the last candidate arrival
+  bool done_;
+  uint64_t requests_ = 0;
+};
+
 class RequestWorkload : public Workload {
  public:
   explicit RequestWorkload(RequestSpec spec) : spec_(std::move(spec)) {}
@@ -88,8 +117,8 @@ class RequestWorkload : public Workload {
   // Fork() from `rng`, like every other workload's Setup.
   void Setup(Kernel& kernel, Rng& rng) const override;
 
-  // Pre-draws the whole traffic trace. The cluster runner calls this with the
-  // same forked stream Setup would use, then routes each part itself.
+  // Draws the whole traffic trace by draining a RequestStream on `rng`.
+  // Setup replays it; the cluster runner reads the same stream lazily.
   RequestPlan BuildPlan(Rng& rng) const;
 
   const RequestSpec& spec() const { return spec_; }

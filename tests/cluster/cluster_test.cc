@@ -175,6 +175,27 @@ TEST(ClusterRunTest, ServingMetricsAreCoherent) {
   EXPECT_EQ(routed, c.requests_offered * 3);
 }
 
+// Arrivals are drawn as the run reaches them, so a run the time limit stops
+// early has not drawn the whole trace; it must still offer all of it.
+TEST(ClusterRunTest, TimeLimitedRunOffersTheWholeTrace) {
+  RequestSpec spec = SmallTraffic();
+  spec.fanout = 2;
+  const RequestWorkload workload(spec);
+  ExperimentConfig config = SmallConfig(SchedulerKind::kNest);
+  config.time_limit = Milliseconds(50);  // a quarter of the 200 ms trace
+  const ExperimentResult r =
+      RunClusterExperiment(ClusterSpec{2, "round-robin"}, config, workload);
+
+  Rng rng(config.seed);
+  Rng wl_rng = rng.Fork();  // the stream the runner draws from
+  const RequestPlan plan = workload.BuildPlan(wl_rng);
+  ASSERT_GT(plan.parts.back().arrival, config.time_limit);
+  EXPECT_TRUE(r.hit_time_limit);
+  EXPECT_EQ(r.cluster.requests_offered, plan.requests);
+  EXPECT_GT(r.cluster.requests_completed, 0u);
+  EXPECT_LT(r.cluster.requests_completed, r.cluster.requests_offered);
+}
+
 TEST(ClusterRunTest, UnknownRouterThrows) {
   const RequestWorkload workload(SmallTraffic());
   EXPECT_THROW(RunClusterExperiment(ClusterSpec{2, "no-such-router"},

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <set>
 
 #include "src/cfs/cfs_policy.h"
@@ -89,6 +90,14 @@ struct Case {
   std::string machine;
   SchedulerKind scheduler;
 };
+
+// gtest prints the parameter into every test's listing, and
+// gtest_discover_tests copies that into the ctest name. Without this the
+// listing is the struct's raw bytes, a heap pointer among them, so the names
+// differed between builds.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.machine << "/" << SchedulerKindKey(c.scheduler);
+}
 
 class InvariantSweep : public ::testing::TestWithParam<Case> {};
 
