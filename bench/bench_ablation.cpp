@@ -59,7 +59,7 @@ std::vector<AblationVariant> Variants() {
 }
 
 void RunStudy(const std::string& machine, const Workload& workload) {
-  const int reps = BenchRepetitions();
+  const int reps = RepetitionsFromEnv(kBenchRepetitions);
   std::printf("\n[%s on %s]\n", workload.name().c_str(), machine.c_str());
   ExperimentConfig config;
   config.machine = machine;

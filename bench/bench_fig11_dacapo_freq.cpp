@@ -10,14 +10,14 @@ int main() {
   PrintHeader("Figure 11: DaCapo frequency distributions",
               "Share of task-execution time per frequency bucket; 'top2' = two "
               "highest buckets.");
-  const auto variants = StandardVariants();
+  const auto variants = StandardScenarioVariants(false);
   for (const std::string& machine : PaperMachineNames()) {
     const MachineSpec& spec = MachineByName(machine);
     PrintMachineBanner(spec);
     for (const std::string& app : DacapoWorkload::AppNames()) {
       std::printf("%s:\n", app.c_str());
-      for (const Variant& variant : variants) {
-        ExperimentConfig config = ConfigFor(machine, variant);
+      for (const ScenarioVariant& variant : variants) {
+        ExperimentConfig config = VariantConfig(machine, variant);
         config.seed = 5;
         DacapoWorkload workload(app);
         const ExperimentResult r = RunExperiment(config, workload);

@@ -11,22 +11,21 @@ int main() {
   PrintHeader("Figure 13: Phoronix multicore highlight tests",
               "Speedup vs CFS-schedutil for CFS-performance and Nest-schedutil "
               "(the paper's two headline columns).");
-  const int reps = BenchRepetitions();
-  const Variant base_variant{"CFS sched", SchedulerKind::kCfs, "schedutil"};
-  const std::vector<Variant> variants = {
-      {"CFS perf", SchedulerKind::kCfs, "performance"},
-      {"Nest sched", SchedulerKind::kNest, "schedutil"},
-  };
+  const int reps = RepetitionsFromEnv(kBenchRepetitions);
+  // CFS sched as the baseline; CFS perf and Nest sched as the columns.
+  const std::vector<ScenarioVariant> standard = StandardScenarioVariants(false);
+  const ScenarioVariant& base_variant = standard[0];
+  const std::vector<ScenarioVariant> variants = {standard[1], standard[2]};
 
   for (const std::string& machine : PaperMachineNames()) {
     PrintMachineBanner(MachineByName(machine));
     std::printf("%-22s %16s %10s %10s\n", "test", "CFS sched (s)", "CFS perf", "Nest sched");
     for (const std::string& test : PhoronixWorkload::Figure13TestNames()) {
       PhoronixWorkload workload(test);
-      const RepeatedResult base = RunRepeated(ConfigFor(machine, base_variant), workload, reps);
+      const RepeatedResult base = RunRepeated(VariantConfig(machine, base_variant), workload, reps);
       std::printf("%-22s %9.2fs %4.1f%%", test.c_str(), base.mean_seconds, base.stddev_pct());
-      for (const Variant& variant : variants) {
-        const RepeatedResult rr = RunRepeated(ConfigFor(machine, variant), workload, reps);
+      for (const ScenarioVariant& variant : variants) {
+        const RepeatedResult rr = RunRepeated(VariantConfig(machine, variant), workload, reps);
         std::printf(" %10s",
                     FormatSpeedup(SpeedupPercent(base.mean_seconds, rr.mean_seconds)).c_str());
       }

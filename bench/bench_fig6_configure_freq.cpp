@@ -12,14 +12,14 @@ int main() {
               "Share of task-execution time per frequency bucket. 'top2' is the "
               "share in the two highest-frequency buckets — Nest should "
               "dominate there.");
-  const auto variants = StandardVariants();
+  const auto variants = StandardScenarioVariants(false);
   for (const std::string& machine : PaperMachineNames()) {
     const MachineSpec& spec = MachineByName(machine);
     PrintMachineBanner(spec);
     for (const std::string& package : ConfigureWorkload::PackageNames()) {
       std::printf("%s:\n", package.c_str());
-      for (const Variant& variant : variants) {
-        ExperimentConfig config = ConfigFor(machine, variant);
+      for (const ScenarioVariant& variant : variants) {
+        ExperimentConfig config = VariantConfig(machine, variant);
         config.seed = 11;
         ConfigureWorkload workload(package);
         const ExperimentResult r = RunExperiment(config, workload);

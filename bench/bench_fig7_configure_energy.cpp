@@ -10,8 +10,8 @@ using namespace nestsim;
 int main() {
   PrintHeader("Figure 7: Configure CPU energy reduction vs CFS-schedutil",
               "Positive = less energy. Baseline column is CFS-schedutil joules.");
-  const int reps = BenchRepetitions();
-  const auto variants = StandardVariants();
+  const int reps = RepetitionsFromEnv(kBenchRepetitions);
+  const auto variants = StandardScenarioVariants(false);
 
   for (const std::string& machine : PaperMachineNames()) {
     PrintMachineBanner(MachineByName(machine));
@@ -19,10 +19,10 @@ int main() {
                 "Nest sched", "Nest perf");
     for (const std::string& package : ConfigureWorkload::PackageNames()) {
       ConfigureWorkload workload(package);
-      const RepeatedResult base = RunRepeated(ConfigFor(machine, variants[0]), workload, reps);
+      const RepeatedResult base = RunRepeated(VariantConfig(machine, variants[0]), workload, reps);
       std::printf("%-14s %13.1fJ", package.c_str(), base.mean_energy_j);
       for (size_t v = 1; v < variants.size(); ++v) {
-        const RepeatedResult rr = RunRepeated(ConfigFor(machine, variants[v]), workload, reps);
+        const RepeatedResult rr = RunRepeated(VariantConfig(machine, variants[v]), workload, reps);
         std::printf(" %10s",
                     FormatSpeedup(SpeedupPercent(base.mean_energy_j, rr.mean_energy_j)).c_str());
       }

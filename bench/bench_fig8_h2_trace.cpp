@@ -46,7 +46,7 @@ int main() {
               "CFS spreads h2 widely at lower turbo; Nest concentrates it on few "
               "cores of one socket at high turbo. Several seeds show CFS's "
               "run-to-run dispersal variance (Figure 9's slow run).");
-  const int reps = BenchRepetitions();  // NESTSIM_REPS controls the seed count
+  const int reps = RepetitionsFromEnv(kBenchRepetitions);  // NESTSIM_REPS controls the seed count
   for (int i = 0; i < reps; ++i) {
     RunCase("CFS-schedutil", SchedulerKind::kCfs, 1 + static_cast<uint64_t>(i));
   }

@@ -15,12 +15,12 @@ using namespace nestsim;
 namespace {
 
 void Row(const std::string& machine, const Workload& workload) {
-  const int reps = BenchRepetitions();
-  const auto variants = StandardVariants();
-  const RepeatedResult base = RunRepeated(ConfigFor(machine, variants[0]), workload, reps);
+  const int reps = RepetitionsFromEnv(kBenchRepetitions);
+  const auto variants = StandardScenarioVariants(false);
+  const RepeatedResult base = RunRepeated(VariantConfig(machine, variants[0]), workload, reps);
   std::printf("  %-22s %9.3fs", workload.name().c_str(), base.mean_seconds);
   for (size_t v = 1; v < variants.size(); ++v) {
-    const RepeatedResult rr = RunRepeated(ConfigFor(machine, variants[v]), workload, reps);
+    const RepeatedResult rr = RunRepeated(VariantConfig(machine, variants[v]), workload, reps);
     std::printf(" %10s", FormatSpeedup(SpeedupPercent(base.mean_seconds, rr.mean_seconds)).c_str());
   }
   std::printf("\n");

@@ -16,23 +16,22 @@ int main() {
   PrintHeader("§5.6: Server tests (2-socket Intel 6130)",
               "Completion time of a fixed request volume, speedup vs "
               "CFS-schedutil. p99 is the baseline's wakeup tail latency.");
-  const int reps = BenchRepetitions();
+  const int reps = RepetitionsFromEnv(kBenchRepetitions);
   const std::string machine = "intel-6130-2s";
+  const std::vector<ScenarioVariant> standard = StandardScenarioVariants(false);
 
   std::printf("%-18s %16s %10s %10s %8s\n", "test", "CFS sched (s)", "Nest sched", "Nest perf",
               "p99(us)");
   std::vector<ResultRow> rows;
   for (const std::string& test : ServerWorkload::TestNames()) {
     ServerWorkload workload(test);
-    ExperimentConfig base = ConfigFor(machine, {"CFS sched", SchedulerKind::kCfs, "schedutil"});
+    ExperimentConfig base = VariantConfig(machine, standard[0]);  // CFS sched
     base.record_latency = true;
     const RepeatedResult base_rr = RunRepeated(base, workload, reps);
     std::printf("%-18s %9.3fs %4.1f%%", test.c_str(), base_rr.mean_seconds, base_rr.stddev_pct());
     rows.push_back({test, "CFS sched", base_rr.runs.front()});
-    for (const Variant& variant :
-         {Variant{"Nest sched", SchedulerKind::kNest, "schedutil"},
-          Variant{"Nest perf", SchedulerKind::kNest, "performance"}}) {
-      const RepeatedResult rr = RunRepeated(ConfigFor(machine, variant), workload, reps);
+    for (const ScenarioVariant& variant : {standard[2], standard[3]}) {  // Nest sched, Nest perf
+      const RepeatedResult rr = RunRepeated(VariantConfig(machine, variant), workload, reps);
       std::printf(" %10s",
                   FormatSpeedup(SpeedupPercent(base_rr.mean_seconds, rr.mean_seconds)).c_str());
       rows.push_back({test, variant.label, rr.runs.front()});

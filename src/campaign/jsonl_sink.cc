@@ -6,38 +6,6 @@
 
 namespace nestsim {
 
-namespace {
-
-void AppendDouble(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void AppendField(std::string& out, const char* key, const std::string& value) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += JsonEscape(value);
-  out += '"';
-}
-
-void AppendField(std::string& out, const char* key, double value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  AppendDouble(out, value);
-}
-
-void AppendField(std::string& out, const char* key, uint64_t value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-}  // namespace
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -83,41 +51,77 @@ const char* JobStatusName(JobStatus status) {
   return "?";
 }
 
+std::string FormatDouble(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+namespace {
+
+void AppendKey(std::string& out, const char* key) {
+  if (!out.empty() && out.back() != '{') {
+    out += ',';
+  }
+  out += '"';
+  out += key;
+  out += "\":";
+}
+
+}  // namespace
+
+void AppendJsonField(std::string& out, const char* key, const std::string& value) {
+  AppendKey(out, key);
+  out += '"';
+  out += JsonEscape(value);
+  out += '"';
+}
+
+void AppendJsonField(std::string& out, const char* key, double value) {
+  AppendKey(out, key);
+  out += FormatDouble(value);
+}
+
+void AppendJsonField(std::string& out, const char* key, uint64_t value) {
+  AppendKey(out, key);
+  out += std::to_string(value);
+}
+
+void AppendResilienceFields(std::string& out, const ResilienceStats& r) {
+  if (!r.any()) {
+    return;
+  }
+  AppendJsonField(out, "tasks_killed", r.tasks_killed);
+  AppendJsonField(out, "replicas_reaped", r.replicas_reaped);
+  AppendJsonField(out, "evacuations", r.evacuations);
+  AppendJsonField(out, "work_lost_ms", r.work_lost_ms);
+  AppendJsonField(out, "wasted_replica_ms", r.wasted_replica_ms);
+  AppendJsonField(out, "mean_evac_latency_us", r.mean_evac_latency_us);
+  AppendJsonField(out, "requests_failed", r.requests_failed);
+  AppendJsonField(out, "requests_degraded", r.requests_degraded);
+}
+
 std::string JobRecordJson(const std::string& campaign, const Job& job,
                           const JobOutcome& outcome) {
   std::string out = "{";
-  AppendField(out, "campaign", campaign);
-  out += ',';
-  AppendField(out, "workload", job.workload);
-  out += ',';
-  AppendField(out, "variant", job.variant);
-  out += ',';
-  AppendField(out, "machine", job.config.machine);
-  out += ',';
-  AppendField(out, "scheduler", std::string(SchedulerKindName(job.config.scheduler)));
-  out += ',';
-  AppendField(out, "governor", job.config.governor);
-  out += ',';
-  AppendField(out, "base_seed", job.base_seed);
-  out += ',';
-  AppendField(out, "repetitions", static_cast<uint64_t>(job.repetitions));
-  out += ',';
-  AppendField(out, "status", std::string(JobStatusName(outcome.status)));
-  out += ',';
-  AppendField(out, "wall_s", outcome.wall_seconds);
+  AppendJsonField(out, "campaign", campaign);
+  AppendJsonField(out, "workload", job.workload);
+  AppendJsonField(out, "variant", job.variant);
+  AppendJsonField(out, "machine", job.config.machine);
+  AppendJsonField(out, "scheduler", std::string(SchedulerKindName(job.config.scheduler)));
+  AppendJsonField(out, "governor", job.config.governor);
+  AppendJsonField(out, "base_seed", job.base_seed);
+  AppendJsonField(out, "repetitions", static_cast<uint64_t>(job.repetitions));
+  AppendJsonField(out, "status", std::string(JobStatusName(outcome.status)));
+  AppendJsonField(out, "wall_s", outcome.wall_seconds);
   if (outcome.status == JobStatus::kFailed) {
-    out += ',';
-    AppendField(out, "error", outcome.message);
+    AppendJsonField(out, "error", outcome.message);
   }
   if (outcome.status == JobStatus::kOk) {
-    out += ',';
-    AppendField(out, "mean_s", outcome.result.mean_seconds);
-    out += ',';
-    AppendField(out, "stddev_s", outcome.result.stddev_seconds);
-    out += ',';
-    AppendField(out, "mean_energy_j", outcome.result.mean_energy_j);
-    out += ',';
-    AppendField(out, "mean_underload_per_s", outcome.result.mean_underload_per_s);
+    AppendJsonField(out, "mean_s", outcome.result.mean_seconds);
+    AppendJsonField(out, "stddev_s", outcome.result.stddev_seconds);
+    AppendJsonField(out, "mean_energy_j", outcome.result.mean_energy_j);
+    AppendJsonField(out, "mean_underload_per_s", outcome.result.mean_underload_per_s);
     out += ",\"runs\":[";
     for (size_t i = 0; i < outcome.result.runs.size(); ++i) {
       const ExperimentResult& r = outcome.result.runs[i];
@@ -125,35 +129,12 @@ std::string JobRecordJson(const std::string& campaign, const Job& job,
         out += ',';
       }
       out += '{';
-      AppendField(out, "seed", job.base_seed + i);
-      out += ',';
-      AppendField(out, "seconds", r.seconds());
-      out += ',';
-      AppendField(out, "energy_j", r.energy_joules);
-      out += ',';
-      AppendField(out, "underload_per_s", r.underload_per_s);
-      out += ',';
-      AppendField(out, "makespan_ns", static_cast<uint64_t>(r.makespan));
-      if (r.resilience.any()) {
-        // Fault/replica resilience block (docs/FAULTS.md): only present on
-        // runs where faults actually fired, matching the counter convention.
-        out += ',';
-        AppendField(out, "tasks_killed", r.resilience.tasks_killed);
-        out += ',';
-        AppendField(out, "replicas_reaped", r.resilience.replicas_reaped);
-        out += ',';
-        AppendField(out, "evacuations", r.resilience.evacuations);
-        out += ',';
-        AppendField(out, "work_lost_ms", r.resilience.work_lost_ms);
-        out += ',';
-        AppendField(out, "wasted_replica_ms", r.resilience.wasted_replica_ms);
-        out += ',';
-        AppendField(out, "mean_evac_latency_us", r.resilience.mean_evac_latency_us);
-        out += ',';
-        AppendField(out, "requests_failed", r.resilience.requests_failed);
-        out += ',';
-        AppendField(out, "requests_degraded", r.resilience.requests_degraded);
-      }
+      AppendJsonField(out, "seed", job.base_seed + i);
+      AppendJsonField(out, "seconds", r.seconds());
+      AppendJsonField(out, "energy_j", r.energy_joules);
+      AppendJsonField(out, "underload_per_s", r.underload_per_s);
+      AppendJsonField(out, "makespan_ns", static_cast<uint64_t>(r.makespan));
+      AppendResilienceFields(out, r.resilience);
       out += '}';
     }
     out += ']';

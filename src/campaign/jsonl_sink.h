@@ -19,6 +19,22 @@ namespace nestsim {
 // JSON string escaping per RFC 8259 (quotes, backslash, control chars).
 std::string JsonEscape(const std::string& s);
 
+// %.17g: enough digits that every double reads back to itself. Records write
+// their numbers in this form and compare them by it.
+std::string FormatDouble(double v);
+
+// The member writers every JSONL record here is built from: each appends
+// `"key":value` to an object under construction, after a comma unless the
+// object is still empty. Strings are escaped, doubles use FormatDouble.
+void AppendJsonField(std::string& out, const char* key, const std::string& value);
+void AppendJsonField(std::string& out, const char* key, double value);
+void AppendJsonField(std::string& out, const char* key, uint64_t value);
+
+// A run's 8 resilience members (docs/FAULTS.md), tasks_killed through
+// requests_degraded. Appends nothing unless r.any(), so records of runs where
+// no fault or replica fired keep their pre-fault bytes.
+void AppendResilienceFields(std::string& out, const ResilienceStats& r);
+
 // The record the sink writes for one job, without the trailing newline.
 // Fields: campaign, workload, variant, machine, scheduler, governor,
 // base_seed, repetitions, status, wall_s; when the job succeeded also the

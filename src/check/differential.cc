@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/obs/json_check.h"
 #include "src/scenario/baseline.h"
 #include "src/scenario/runner.h"
 
@@ -40,47 +41,26 @@ std::string JobLabel(const ScenarioRun& run, size_t machine, size_t row, size_t 
   return label;
 }
 
-// `b_desc` names pass b in problem messages ("a pool").
-void CheckDeterminism(const ScenarioRun& a, const ScenarioRun& b, const std::string& b_desc,
+// Holds pass b to pass a with the golden gate's comparator: every job's
+// record from pass a plays the golden, wall_s left out. `passes` names the
+// two in problem messages ("1 worker vs a pool").
+void CheckDeterminism(const ScenarioRun& a, const ScenarioRun& b, const std::string& passes,
                       DifferentialReport* report) {
-  for (size_t m = 0; m < a.num_machines(); ++m) {
-    for (size_t r = 0; r < a.num_rows(); ++r) {
-      for (size_t v = 0; v < a.num_variants(); ++v) {
-        for (size_t s = 0; s < a.num_sweeps(); ++s) {
-          const JobOutcome& oa = a.outcome(m, r, v, s);
-          const JobOutcome& ob = b.outcome(m, r, v, s);
-          const std::string label = JobLabel(a, m, r, v, s);
-          if (oa.status != ob.status) {
-            report->problems.push_back("nondeterminism: " + label + " is " +
-                                       JobStatusName(oa.status) + " on 1 worker but " +
-                                       JobStatusName(ob.status) + " on " + b_desc);
-            continue;
-          }
-          if (!oa.ok()) {
-            continue;  // both failed identically; reported by CheckHealth
-          }
-          if (oa.result.runs.size() != ob.result.runs.size()) {
-            report->problems.push_back("nondeterminism: " + label + " repetition counts differ");
-            continue;
-          }
-          for (size_t i = 0; i < oa.result.runs.size(); ++i) {
-            const ExperimentResult& ra = oa.result.runs[i];
-            const ExperimentResult& rb = ob.result.runs[i];
-            if (ra.makespan != rb.makespan || ra.tasks_created != rb.tasks_created ||
-                ra.migrations != rb.migrations ||
-                SchedCountersDigest(ra.counters) != SchedCountersDigest(rb.counters)) {
-              char detail[160];
-              std::snprintf(detail, sizeof(detail),
-                            "rep %zu: makespan %lld vs %lld ns, digest %s vs %s",
-                            i, static_cast<long long>(ra.makespan),
-                            static_cast<long long>(rb.makespan),
-                            SchedCountersDigest(ra.counters).c_str(),
-                            SchedCountersDigest(rb.counters).c_str());
-              report->problems.push_back("nondeterminism: " + label + " " + detail);
-            }
-          }
-        }
-      }
+  for (size_t i = 0; i < a.jobs.size(); ++i) {
+    JsonValue golden;
+    JsonValue fresh;
+    std::string error;
+    if (!JsonParse(BaselineJobRecord(a.jobs[i], a.outcomes[i]), &golden, &error) ||
+        !JsonParse(BaselineJobRecord(b.jobs[i], b.outcomes[i]), &fresh, &error)) {
+      const Job& job = a.jobs[i];
+      report->problems.push_back("unreadable record: " + job.config.machine + " x " +
+                                 job.workload + " x " + job.variant + ": " + error);
+      continue;
+    }
+    std::vector<std::string> problems;
+    CompareJobRecords(golden, fresh, /*wall_tolerance=*/0.0, &problems);
+    for (const std::string& problem : problems) {
+      report->problems.push_back("nondeterminism (" + passes + "): " + problem);
     }
   }
 }
@@ -223,7 +203,7 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
   report.jobs = serial.jobs.size();
 
   CheckHealth(serial, &report);
-  CheckDeterminism(serial, parallel, "a pool", &report);
+  CheckDeterminism(serial, parallel, "1 worker vs a pool", &report);
   // The nest_predict fallback contract (docs/PREDICTION.md §3): with no
   // model loaded the policy must be bit-identical to plain Nest. Re-run the
   // serial pass with every kNest job flipped to kNestPredict — model nulled,
@@ -249,7 +229,7 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
       report.problems.push_back("scenario does not expand:\n" + err.Join());
       return report;
     }
-    CheckDeterminism(serial, predict, "nest_predict with an empty model", &report);
+    CheckDeterminism(serial, predict, "nest vs nest_predict with an empty model", &report);
   }
   CheckAccounting(serial, &report);
   if (full_load) {

@@ -7,13 +7,15 @@
 // variant — once with those jobs flipped to the model-less nest_predict
 // policy. It then cross-checks:
 //
-//   * determinism — the same seed must give bit-identical makespans and
-//     SchedCounters digests regardless of campaign worker count;
+//   * determinism — the same seed must give the same golden record
+//     (src/scenario/baseline.h: every member BaselineJobRecord writes, wall
+//     time left out) regardless of campaign worker count, compared by the
+//     golden gate's own CompareJobRecords;
 //   * job health — invariant violations, unexpected failures, and timeouts
 //     all surface as problems;
 //   * predictor fallback — every kNest job re-runs flipped to kNestPredict
-//     with no model loaded, which must be bit-identical to plain Nest
-//     (docs/PREDICTION.md §3);
+//     with no model loaded, whose records must equal plain Nest's under the
+//     same comparator (docs/PREDICTION.md §3);
 //   * task accounting — the same workload row creates the same number of
 //     tasks under every scheduler variant (when no run hit its time limit);
 //   * full-load neutrality — for saturating workloads, CFS and Nest

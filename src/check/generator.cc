@@ -294,7 +294,7 @@ GeneratedScenario GenerateScenario(uint64_t seed) {
 
   // One machine, biased toward the small presets so a fuzz campaign is cheap;
   // the big multi-socket boxes keep cross-die placement covered, and the
-  // huge 8153 presets (docs/PARALLEL.md) keep 128/256-CPU topologies in the
+  // huge 8153 presets (docs/DOMAINS.md) keep 128/256-CPU topologies in the
   // fuzzed population at a weight a fuzz campaign can afford.
   JsonValue machines = Arr();
   Push(machines, Str(Pick(rng, {{"amd-4650g-1s", 26},

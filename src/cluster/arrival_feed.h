@@ -24,7 +24,7 @@
 #include <functional>
 #include <vector>
 
-#include "src/sim/parallel.h"
+#include "src/sim/domain_group.h"
 #include "src/workloads/requests.h"
 
 namespace nestsim {

@@ -124,7 +124,7 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   }
 
   // One domain per machine plus the coordinator timeline for arrivals and
-  // reaps (src/sim/parallel.h), run in the canonical event order.
+  // reaps (src/sim/domain_group.h), run in the canonical event order.
   const int n = cluster.machines;
   DomainGroup group(n);
   std::vector<std::unique_ptr<MachineModel>> machines;
@@ -156,18 +156,16 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
 
   const int cpus_per_machine = kernels[0]->topology().num_cpus();
 
-  // The fault plan is drawn from a forked generator — second fork off the
-  // seed, exactly like the single-machine path — so enabling faults perturbs
-  // no workload draw, and when the traffic is drawn changes nothing. Each
-  // machine replays its own slice; whole-machine crashes are handled here
-  // (kill every live task, mark the machine dead for the router) because only
-  // the runner sees the fleet.
+  // The fault plan is drawn like the single-machine path's (DrawFaultPlan,
+  // the second fork off the seed), so when the traffic is drawn changes
+  // nothing. Each machine replays its own slice; whole-machine crashes are
+  // handled here (kill every live task, mark the machine dead for the
+  // router) because only the runner sees the fleet.
   std::vector<char> alive(static_cast<size_t>(n), 1);
-  FaultPlan fault_plan;
+  const FaultPlan fault_plan =
+      DrawFaultPlan(config.fault, rng, n, cpus_per_machine, config.time_limit);
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   if (config.fault.enabled()) {
-    Rng fault_rng = rng.Fork();
-    fault_plan = BuildFaultPlan(config.fault, fault_rng, n, cpus_per_machine, config.time_limit);
     for (int m = 0; m < n; ++m) {
       // Each machine's slice of the plan replays on that machine's own
       // domain engine: crashes, repairs, and core faults are domain-local

@@ -2,8 +2,8 @@
 //
 // RunClusterExperiment runs N MachineModels (src/core/machine_model.h) —
 // each with its own HardwareModel, scheduler-policy instance, governor and
-// Kernel — one per domain of a DomainGroup (src/sim/parallel.h,
-// docs/PARALLEL.md): every machine owns its own event queue, clock, and
+// Kernel — one per domain of a DomainGroup (src/sim/domain_group.h,
+// docs/DOMAINS.md): every machine owns its own event queue, clock, and
 // PELT/turbo/power state, and the only cross-machine traffic (request
 // arrivals with their router decision, replica-quorum reaps) rides the
 // group's coordinator timeline. Events execute in the group's canonical

@@ -137,15 +137,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& w
   Rng rng(config.seed);
   workload.Setup(kernel, rng);
 
-  // The fault plan is drawn *after* workload setup from a forked generator:
-  // the workload's draws are identical with faults on or off, and a disabled
-  // spec forks nothing at all (byte-identical pre-fault goldens).
-  FaultPlan fault_plan;
+  // The fault plan is drawn after workload setup (DrawFaultPlan).
+  const FaultPlan fault_plan = DrawFaultPlan(config.fault, rng, /*num_machines=*/1,
+                                             kernel.topology().num_cpus(), config.time_limit);
   std::unique_ptr<FaultInjector> injector;
   if (config.fault.enabled()) {
-    Rng fault_rng = rng.Fork();
-    fault_plan = BuildFaultPlan(config.fault, fault_rng, /*num_machines=*/1,
-                                kernel.topology().num_cpus(), config.time_limit);
     injector = std::make_unique<FaultInjector>(&group.domain(0), &kernel, &fault_plan);
     injector->Arm();
   }

@@ -29,7 +29,7 @@
 #include "src/metrics/underload.h"
 #include "src/obs/sched_counters.h"
 #include "src/sim/engine.h"
-#include "src/sim/parallel.h"
+#include "src/sim/domain_group.h"
 
 namespace nestsim {
 

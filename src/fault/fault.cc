@@ -64,6 +64,15 @@ FaultPlan BuildFaultPlan(const FaultSpec& spec, Rng& rng, int num_machines, int 
   return plan;
 }
 
+FaultPlan DrawFaultPlan(const FaultSpec& spec, Rng& run_rng, int num_machines, int num_cpus,
+                        SimTime horizon) {
+  if (!spec.enabled()) {
+    return FaultPlan();
+  }
+  Rng fault_rng = run_rng.Fork();
+  return BuildFaultPlan(spec, fault_rng, num_machines, num_cpus, horizon);
+}
+
 void FaultInjector::Arm() {
   for (const FaultPlanEvent& ev : plan_->events) {
     if (ev.machine != machine_) {

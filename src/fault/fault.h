@@ -77,6 +77,14 @@ struct FaultPlan {
 FaultPlan BuildFaultPlan(const FaultSpec& spec, Rng& rng, int num_machines, int num_cpus,
                          SimTime horizon);
 
+// A run's fault plan, drawn the way every experiment runner draws it:
+// BuildFaultPlan on a generator forked off the run Rng `run_rng`, after the
+// workload has drawn from it, so enabling faults perturbs no workload draw.
+// A disabled spec forks nothing and returns an empty plan, which keeps
+// pre-fault goldens byte-identical.
+FaultPlan DrawFaultPlan(const FaultSpec& spec, Rng& run_rng, int num_machines, int num_cpus,
+                        SimTime horizon);
+
 // Replays one machine's slice of a FaultPlan against a live kernel. Core
 // events call Kernel::OfflineCpu/OnlineCpu; machine events invoke the
 // machine-event hook when one is set (the cluster runner's failover path)

@@ -148,7 +148,7 @@ MachineSpec Xeon5220() {
   return m;
 }
 
-// Huge-machine presets for rack-scale runs (docs/PARALLEL.md): a
+// Huge-machine presets for rack-scale runs (docs/DOMAINS.md): a
 // Platinum-class Skylake part at 4 and 8 sockets, giving 128- and 256-CPU
 // single machines. Not a paper machine; the ladder follows the published
 // 8153 bins (maximum turbo 2.8 GHz, all-core 2.3).

@@ -1,10 +1,10 @@
 #include "src/scenario/baseline.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "src/campaign/jsonl_sink.h"
 
@@ -12,162 +12,81 @@ namespace nestsim {
 
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void AppendString(std::string& out, const char* key, const std::string& value) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += JsonEscape(value);
-  out += '"';
-}
-
-void AppendU64(std::string& out, const char* key, uint64_t value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-void AppendDouble(std::string& out, const char* key, double value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += FormatDouble(value);
-}
-
-std::string BaselineJobRecord(const Job& job, const JobOutcome& outcome) {
-  std::string out = "{";
-  AppendString(out, "machine", job.config.machine);
-  out += ',';
-  AppendString(out, "row", job.workload);
-  out += ',';
-  AppendString(out, "variant", job.variant);
-  out += ',';
-  AppendString(out, "status", JobStatusName(outcome.status));
-  out += ',';
-  AppendDouble(out, "wall_s", outcome.wall_seconds);
-  if (outcome.status == JobStatus::kFailed) {
-    out += ',';
-    AppendString(out, "error", outcome.message);
+// How a value reads in a problem: strings quoted, numbers in %.17g, anything
+// else as JSON.
+std::string Render(const JsonValue& v) {
+  if (v.is_string()) {
+    return "\"" + v.string + "\"";
   }
-  if (outcome.ok()) {
-    out += ",\"runs\":[";
-    for (size_t i = 0; i < outcome.result.runs.size(); ++i) {
-      const ExperimentResult& r = outcome.result.runs[i];
-      if (i > 0) {
-        out += ',';
+  return v.is_number() ? FormatDouble(v.number) : JsonSerialize(v);
+}
+
+std::string StringMember(const JsonValue& record, const char* key) {
+  const JsonValue* v = record.Find(key);
+  return v != nullptr && v->is_string() ? v->string : "?";
+}
+
+// The members that name a job. With its status they are all that compares
+// when the job did not finish ok on both sides.
+bool IdentityKey(const std::string& key) {
+  return key == "machine" || key == "row" || key == "variant" || key == "status";
+}
+
+// Walks a golden record and a fresh one together. `where` locates a nested
+// member in problem text (" (runs[1])").
+struct RecordComparer {
+  std::string id;  // "<machine> x <row> x <variant>" of the fresh record
+  double wall_tolerance;
+  bool identity_only;
+  std::vector<std::string>* problems;
+
+  void Problem(const std::string& what, const std::string& where) const {
+    problems->push_back(id + ": " + what + where);
+  }
+
+  void Members(const JsonValue& golden, const JsonValue& fresh, const std::string& where) const {
+    for (const auto& [key, value] : fresh.members) {
+      if (identity_only && !IdentityKey(key)) {
+        continue;
       }
-      out += '{';
-      AppendU64(out, "seed", job.base_seed + i);
-      out += ',';
-      AppendU64(out, "makespan_ns", static_cast<uint64_t>(r.makespan));
-      out += ',';
-      AppendDouble(out, "energy_j", r.energy_joules);
-      out += ',';
-      AppendDouble(out, "underload_per_s", r.underload_per_s);
-      out += ',';
-      AppendU64(out, "context_switches", r.context_switches);
-      out += ',';
-      AppendU64(out, "migrations", r.migrations);
-      out += ',';
-      AppendU64(out, "tasks_created", static_cast<uint64_t>(r.tasks_created));
-      out += ',';
-      AppendString(out, "counters", SchedCountersDigest(r.counters));
-      if (job.config.record_latency) {
-        // Wakeup-latency tails are appended only when the scenario opted into
-        // recording them, so pre-predict goldens stay byte-identical.
-        out += ',';
-        AppendDouble(out, "wakeup_p50_us", r.p50_wakeup_latency_us);
-        out += ',';
-        AppendDouble(out, "wakeup_p99_us", r.p99_wakeup_latency_us);
+      const JsonValue* golden_value = golden.Find(key);
+      if (golden_value == nullptr) {
+        Problem("golden record lacks \"" + key + "\"", where);
+      } else {
+        Value(key, *golden_value, value, where);
       }
-      if (r.cluster.num_machines > 0) {
-        // Cluster fields are appended only for cluster runs so single-machine
-        // goldens stay byte-identical to pre-cluster recordings.
-        out += ',';
-        AppendU64(out, "requests_offered", r.cluster.requests_offered);
-        out += ',';
-        AppendU64(out, "requests_completed", r.cluster.requests_completed);
-        out += ',';
-        AppendDouble(out, "latency_p50_ms", r.cluster.p50_ms);
-        out += ',';
-        AppendDouble(out, "latency_p99_ms", r.cluster.p99_ms);
-        out += ',';
-        AppendDouble(out, "latency_p999_ms", r.cluster.p999_ms);
-      }
-      if (r.resilience.any()) {
-        // Resilience fields are appended only when a fault, replica, or
-        // evacuation actually fired, so pre-fault goldens stay byte-identical.
-        out += ',';
-        AppendU64(out, "tasks_killed", r.resilience.tasks_killed);
-        out += ',';
-        AppendU64(out, "replicas_reaped", r.resilience.replicas_reaped);
-        out += ',';
-        AppendU64(out, "evacuations", r.resilience.evacuations);
-        out += ',';
-        AppendDouble(out, "work_lost_ms", r.resilience.work_lost_ms);
-        out += ',';
-        AppendDouble(out, "wasted_replica_ms", r.resilience.wasted_replica_ms);
-        out += ',';
-        AppendDouble(out, "mean_evac_latency_us", r.resilience.mean_evac_latency_us);
-        out += ',';
-        AppendU64(out, "requests_failed", r.resilience.requests_failed);
-        out += ',';
-        AppendU64(out, "requests_degraded", r.resilience.requests_degraded);
-      }
-      out += '}';
     }
-    out += ']';
-  }
-  out += '}';
-  return out;
-}
-
-// Compares one scalar field of the fresh job against the golden record;
-// doubles compare as their %.17g renderings (exact round-trip).
-struct JobComparer {
-  const JsonValue& golden;
-  const std::string id;  // "machine x row x variant"
-  BaselineCheck& check;
-
-  void Problem(const std::string& what) const { check.problems.push_back(id + ": " + what); }
-
-  const JsonValue* Field(const JsonValue& obj, const char* key) const {
-    const JsonValue* v = obj.Find(key);
-    if (v == nullptr) {
-      Problem(std::string("golden record lacks \"") + key + "\"");
-    }
-    return v;
-  }
-
-  void ExpectString(const JsonValue& obj, const char* key, const std::string& fresh) const {
-    const JsonValue* v = Field(obj, key);
-    if (v != nullptr && (!v->is_string() || v->string != fresh)) {
-      Problem(std::string(key) + " changed: golden \"" + (v->is_string() ? v->string : "?") +
-              "\", fresh \"" + fresh + "\"");
+    for (const auto& [key, value] : golden.members) {
+      if ((!identity_only || IdentityKey(key)) && fresh.Find(key) == nullptr) {
+        Problem("fresh record lacks \"" + key + "\"", where);
+      }
     }
   }
 
-  void ExpectU64(const JsonValue& obj, const char* key, uint64_t fresh) const {
-    const JsonValue* v = Field(obj, key);
-    if (v != nullptr && (!v->is_number() || FormatDouble(v->number) !=
-                                               FormatDouble(static_cast<double>(fresh)))) {
-      Problem(std::string(key) + " changed: golden " +
-              (v->is_number() ? FormatDouble(v->number) : "?") + ", fresh " +
-              std::to_string(fresh));
-    }
-  }
-
-  void ExpectDouble(const JsonValue& obj, const char* key, double fresh) const {
-    const JsonValue* v = Field(obj, key);
-    if (v != nullptr && (!v->is_number() || FormatDouble(v->number) != FormatDouble(fresh))) {
-      Problem(std::string(key) + " changed: golden " +
-              (v->is_number() ? FormatDouble(v->number) : "?") + ", fresh " + FormatDouble(fresh));
+  void Value(const std::string& key, const JsonValue& golden, const JsonValue& fresh,
+             const std::string& where) const {
+    if (key == "wall_s") {
+      // Host time, not simulation behaviour: it counts only inside a band.
+      if (wall_tolerance > 0.0 && golden.is_number() && fresh.is_number()) {
+        const double band = wall_tolerance * std::max(golden.number, 1e-3);
+        if (std::fabs(fresh.number - golden.number) > band) {
+          Problem("wall_s outside tolerance: golden " + Render(golden) + ", fresh " +
+                      Render(fresh) + " (band ±" + FormatDouble(band) + ")",
+                  where);
+        }
+      }
+    } else if (golden.is_array() && fresh.is_array()) {
+      if (golden.items.size() != fresh.items.size()) {
+        Problem(key + " array shape changed", where);
+        return;
+      }
+      for (size_t i = 0; i < fresh.items.size(); ++i) {
+        Value(key, golden.items[i], fresh.items[i], " (" + key + "[" + std::to_string(i) + "])");
+      }
+    } else if (golden.is_object() && fresh.is_object()) {
+      Members(golden, fresh, where);
+    } else if (golden.type != fresh.type || Render(golden) != Render(fresh)) {
+      Problem(key + " changed: golden " + Render(golden) + ", fresh " + Render(fresh), where);
     }
   }
 };
@@ -194,15 +113,72 @@ std::string BaselinePath(const std::string& dir, const std::string& scenario_nam
   return dir + "/" + scenario_name + ".jsonl";
 }
 
+std::string BaselineJobRecord(const Job& job, const JobOutcome& outcome) {
+  std::string out = "{";
+  AppendJsonField(out, "machine", job.config.machine);
+  AppendJsonField(out, "row", job.workload);
+  AppendJsonField(out, "variant", job.variant);
+  AppendJsonField(out, "status", std::string(JobStatusName(outcome.status)));
+  AppendJsonField(out, "wall_s", outcome.wall_seconds);
+  if (outcome.status == JobStatus::kFailed) {
+    AppendJsonField(out, "error", outcome.message);
+  }
+  if (outcome.ok()) {
+    out += ",\"runs\":[";
+    for (size_t i = 0; i < outcome.result.runs.size(); ++i) {
+      const ExperimentResult& r = outcome.result.runs[i];
+      if (i > 0) {
+        out += ',';
+      }
+      out += '{';
+      AppendJsonField(out, "seed", job.base_seed + i);
+      AppendJsonField(out, "makespan_ns", static_cast<uint64_t>(r.makespan));
+      AppendJsonField(out, "energy_j", r.energy_joules);
+      AppendJsonField(out, "underload_per_s", r.underload_per_s);
+      AppendJsonField(out, "context_switches", r.context_switches);
+      AppendJsonField(out, "migrations", r.migrations);
+      AppendJsonField(out, "tasks_created", static_cast<uint64_t>(r.tasks_created));
+      AppendJsonField(out, "counters", SchedCountersDigest(r.counters));
+      if (job.config.record_latency) {
+        // Wakeup-latency tails are appended only when the scenario opted into
+        // recording them, so pre-predict goldens stay byte-identical.
+        AppendJsonField(out, "wakeup_p50_us", r.p50_wakeup_latency_us);
+        AppendJsonField(out, "wakeup_p99_us", r.p99_wakeup_latency_us);
+      }
+      if (r.cluster.num_machines > 0) {
+        // Cluster fields are appended only for cluster runs so single-machine
+        // goldens stay byte-identical to pre-cluster recordings.
+        AppendJsonField(out, "requests_offered", r.cluster.requests_offered);
+        AppendJsonField(out, "requests_completed", r.cluster.requests_completed);
+        AppendJsonField(out, "latency_p50_ms", r.cluster.p50_ms);
+        AppendJsonField(out, "latency_p99_ms", r.cluster.p99_ms);
+        AppendJsonField(out, "latency_p999_ms", r.cluster.p999_ms);
+      }
+      AppendResilienceFields(out, r.resilience);
+      out += '}';
+    }
+    out += ']';
+  }
+  out += '}';
+  return out;
+}
+
+void CompareJobRecords(const JsonValue& golden, const JsonValue& fresh, double wall_tolerance,
+                       std::vector<std::string>* problems) {
+  const bool both_ok =
+      StringMember(golden, "status") == "ok" && StringMember(fresh, "status") == "ok";
+  const RecordComparer cmp{StringMember(fresh, "machine") + " x " + StringMember(fresh, "row") +
+                               " x " + StringMember(fresh, "variant"),
+                           wall_tolerance, !both_ok, problems};
+  cmp.Members(golden, fresh, "");
+}
+
 std::string BaselineJsonl(const ScenarioRun& run) {
   std::string out = "{";
-  AppendString(out, "baseline", run.scenario.name);
-  out += ',';
-  AppendU64(out, "jobs", run.jobs.size());
-  out += ',';
-  AppendU64(out, "repetitions", static_cast<uint64_t>(run.repetitions));
-  out += ',';
-  AppendU64(out, "base_seed", run.base_seed);
+  AppendJsonField(out, "baseline", run.scenario.name);
+  AppendJsonField(out, "jobs", run.jobs.size());
+  AppendJsonField(out, "repetitions", static_cast<uint64_t>(run.repetitions));
+  AppendJsonField(out, "base_seed", run.base_seed);
   out += "}\n";
   for (size_t i = 0; i < run.jobs.size(); ++i) {
     out += BaselineJobRecord(run.jobs[i], run.outcomes[i]);
@@ -303,71 +279,15 @@ BaselineCheck CheckBaseline(const ScenarioRun& run, const std::string& dir,
   // fields and status.
   for (size_t i = 0; i < run.jobs.size(); ++i) {
     const Job& job = run.jobs[i];
-    const JobOutcome& outcome = run.outcomes[i];
-    const JsonValue& golden = records[i + 1];
-    JobComparer cmp{golden,
-                    job.config.machine + " x " + job.workload + " x " + job.variant, check};
     ++check.compared;
-
-    cmp.ExpectString(golden, "machine", job.config.machine);
-    cmp.ExpectString(golden, "row", job.workload);
-    cmp.ExpectString(golden, "variant", job.variant);
-    cmp.ExpectString(golden, "status", JobStatusName(outcome.status));
-
-    if (wall_tolerance > 0.0) {
-      const JsonValue* wall = golden.Find("wall_s");
-      if (wall != nullptr && wall->is_number()) {
-        const double band = wall_tolerance * std::max(wall->number, 1e-3);
-        if (std::fabs(outcome.wall_seconds - wall->number) > band) {
-          cmp.Problem("wall_s outside tolerance: golden " + FormatDouble(wall->number) +
-                      ", fresh " + FormatDouble(outcome.wall_seconds) + " (band ±" +
-                      FormatDouble(band) + ")");
-        }
-      }
-    }
-
-    if (!outcome.ok()) {
+    JsonValue fresh;
+    std::string json_error;
+    if (!JsonParse(BaselineJobRecord(job, run.outcomes[i]), &fresh, &json_error)) {
+      check.problems.push_back(job.config.machine + " x " + job.workload + " x " + job.variant +
+                               ": fresh record is not JSON: " + json_error);
       continue;
     }
-    const JsonValue* runs = golden.Find("runs");
-    if (runs == nullptr || !runs->is_array() ||
-        runs->items.size() != outcome.result.runs.size()) {
-      cmp.Problem("runs array shape changed");
-      continue;
-    }
-    for (size_t r = 0; r < outcome.result.runs.size(); ++r) {
-      const ExperimentResult& fresh = outcome.result.runs[r];
-      const JsonValue& grun = runs->items[r];
-      cmp.ExpectU64(grun, "seed", job.base_seed + r);
-      cmp.ExpectU64(grun, "makespan_ns", static_cast<uint64_t>(fresh.makespan));
-      cmp.ExpectDouble(grun, "energy_j", fresh.energy_joules);
-      cmp.ExpectDouble(grun, "underload_per_s", fresh.underload_per_s);
-      cmp.ExpectU64(grun, "context_switches", fresh.context_switches);
-      cmp.ExpectU64(grun, "migrations", fresh.migrations);
-      cmp.ExpectU64(grun, "tasks_created", static_cast<uint64_t>(fresh.tasks_created));
-      cmp.ExpectString(grun, "counters", SchedCountersDigest(fresh.counters));
-      if (job.config.record_latency) {
-        cmp.ExpectDouble(grun, "wakeup_p50_us", fresh.p50_wakeup_latency_us);
-        cmp.ExpectDouble(grun, "wakeup_p99_us", fresh.p99_wakeup_latency_us);
-      }
-      if (fresh.cluster.num_machines > 0) {
-        cmp.ExpectU64(grun, "requests_offered", fresh.cluster.requests_offered);
-        cmp.ExpectU64(grun, "requests_completed", fresh.cluster.requests_completed);
-        cmp.ExpectDouble(grun, "latency_p50_ms", fresh.cluster.p50_ms);
-        cmp.ExpectDouble(grun, "latency_p99_ms", fresh.cluster.p99_ms);
-        cmp.ExpectDouble(grun, "latency_p999_ms", fresh.cluster.p999_ms);
-      }
-      if (fresh.resilience.any()) {
-        cmp.ExpectU64(grun, "tasks_killed", fresh.resilience.tasks_killed);
-        cmp.ExpectU64(grun, "replicas_reaped", fresh.resilience.replicas_reaped);
-        cmp.ExpectU64(grun, "evacuations", fresh.resilience.evacuations);
-        cmp.ExpectDouble(grun, "work_lost_ms", fresh.resilience.work_lost_ms);
-        cmp.ExpectDouble(grun, "wasted_replica_ms", fresh.resilience.wasted_replica_ms);
-        cmp.ExpectDouble(grun, "mean_evac_latency_us", fresh.resilience.mean_evac_latency_us);
-        cmp.ExpectU64(grun, "requests_failed", fresh.resilience.requests_failed);
-        cmp.ExpectU64(grun, "requests_degraded", fresh.resilience.requests_degraded);
-      }
-    }
+    CompareJobRecords(records[i + 1], fresh, wall_tolerance, &check.problems);
   }
   return check;
 }
@@ -386,13 +306,10 @@ std::string BaselineVerdictJson(const std::vector<BaselineCheck>& checks) {
       out += ',';
     }
     out += '{';
-    AppendString(out, "scenario", c.scenario);
-    out += ',';
-    AppendString(out, "baseline", c.baseline_path);
-    out += ',';
-    AppendU64(out, "jobs", static_cast<uint64_t>(c.jobs));
-    out += ',';
-    AppendU64(out, "compared", static_cast<uint64_t>(c.compared));
+    AppendJsonField(out, "scenario", c.scenario);
+    AppendJsonField(out, "baseline", c.baseline_path);
+    AppendJsonField(out, "jobs", static_cast<uint64_t>(c.jobs));
+    AppendJsonField(out, "compared", static_cast<uint64_t>(c.compared));
     out += ",\"ok\":";
     out += c.ok() ? "true" : "false";
     out += ",\"problems\":[";

@@ -131,9 +131,7 @@ bool LoadTableModelFile(const std::string& path, TableModel* out, ScenarioError*
     err->Add(path, "invalid JSON: " + json_error);
     return false;
   }
-  const size_t slash = path.find_last_of('/');
-  const std::string label = slash == std::string::npos ? path : path.substr(slash + 1);
-  return ParseTableModel(root, label, out, err);
+  return ParseTableModel(root, path, out, err);
 }
 
 }  // namespace nestsim

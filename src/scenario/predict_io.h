@@ -23,7 +23,8 @@ namespace nestsim {
 bool ParseTableModel(const JsonValue& root, const std::string& file_label, TableModel* out,
                      ScenarioError* err);
 
-// Reads `path`, JSON-parses it, and runs ParseTableModel.
+// Reads `path`, JSON-parses it, and runs ParseTableModel with `path` as the
+// label, so every error names the file as it was tried.
 bool LoadTableModelFile(const std::string& path, TableModel* out, ScenarioError* err);
 
 }  // namespace nestsim

@@ -136,9 +136,7 @@ bool ExpandScenario(const Scenario& scenario, const ScenarioRunOptions& options,
           job.variant = run->sweep_labels[s].empty()
                             ? variant.label
                             : variant.label + " [" + run->sweep_labels[s] + "]";
-          job.config.machine = machine;
-          job.config.scheduler = variant.scheduler;
-          job.config.governor = variant.governor;
+          job.config = VariantConfig(machine, variant);
           if (scenario.has_config) {
             for (const auto& [key, value] : scenario.config.members) {
               ApplyConfigOverride(&job.config, key, value, scenario.name + "/config", err);

@@ -192,6 +192,14 @@ std::vector<ScenarioVariant> StandardScenarioVariants(bool include_smove) {
   return variants;
 }
 
+ExperimentConfig VariantConfig(const std::string& machine, const ScenarioVariant& variant) {
+  ExperimentConfig config;
+  config.machine = machine;
+  config.scheduler = variant.scheduler;
+  config.governor = variant.governor;
+  return config;
+}
+
 // Config overrides --------------------------------------------------------
 
 namespace {
@@ -229,16 +237,18 @@ bool OverrideString(const JsonValue& value, std::string* out) {
   return true;
 }
 
+// `apply` returns false on a value it rejects; the diagnostic then reads
+// "<key> expects <expects>" unless `apply` explained itself in `*why`.
 struct OverrideSpec {
   const char* key;
-  const char* expects;  // for error messages
-  std::function<bool(ExperimentConfig*, const JsonValue&)> apply;
+  const char* expects;
+  std::function<bool(ExperimentConfig*, const JsonValue&, std::string* why)> apply;
 };
 
 const std::vector<OverrideSpec>& Overrides() {
   static const std::vector<OverrideSpec>* specs = new std::vector<OverrideSpec>{
       {"time_limit_s", "number in (0, 1e6]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          double s = 0;
          if (!OverrideDouble(v, 1e-9, 1e6, &s)) {
            return false;
@@ -247,59 +257,71 @@ const std::vector<OverrideSpec>& Overrides() {
          return true;
        }},
       {"record_trace", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) { return OverrideBool(v, &c->record_trace); }},
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
+         return OverrideBool(v, &c->record_trace);
+       }},
       {"record_underload_series", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->record_underload_series);
        }},
       {"record_latency", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) { return OverrideBool(v, &c->record_latency); }},
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
+         return OverrideBool(v, &c->record_latency);
+       }},
       {"trace_dir", "string",
-       [](ExperimentConfig* c, const JsonValue& v) { return OverrideString(v, &c->trace_dir); }},
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
+         return OverrideString(v, &c->trace_dir);
+       }},
       {"trace_label", "string",
-       [](ExperimentConfig* c, const JsonValue& v) { return OverrideString(v, &c->trace_label); }},
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
+         return OverrideString(v, &c->trace_label);
+       }},
       {"nest.p_remove_ticks", "integer in [0, 1000]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 0, 1000, &c->nest.p_remove_ticks);
        }},
       {"nest.r_max", "integer in [0, 4096]",
-       [](ExperimentConfig* c, const JsonValue& v) { return OverrideInt(v, 0, 4096, &c->nest.r_max); }},
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
+         return OverrideInt(v, 0, 4096, &c->nest.r_max);
+       }},
       {"nest.r_impatient", "integer in [0, 1000]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 0, 1000, &c->nest.r_impatient);
        }},
       {"nest.s_max_ticks", "integer in [0, 1000]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 0, 1000, &c->nest.s_max_ticks);
        }},
       {"nest.enable_reserve", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest.enable_reserve);
        }},
       {"nest.enable_compaction", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest.enable_compaction);
        }},
       {"nest.enable_spin", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) { return OverrideBool(v, &c->nest.enable_spin); }},
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
+         return OverrideBool(v, &c->nest.enable_spin);
+       }},
       {"nest.enable_attach", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest.enable_attach);
        }},
       {"nest.enable_impatience", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest.enable_impatience);
        }},
       {"nest.enable_wake_work_conservation", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest.enable_wake_work_conservation);
        }},
       {"nest.enable_placement_reservation", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest.enable_placement_reservation);
        }},
       {"governor", "string (a known governor name)",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          std::string name;
          if (!OverrideString(v, &name) || !IsKnownGovernor(name)) {
            return false;
@@ -308,11 +330,11 @@ const std::vector<OverrideSpec>& Overrides() {
          return true;
        }},
       {"smove.low_freq_fraction", "number in (0, 1]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 1e-9, 1.0, &c->smove.low_freq_fraction);
        }},
       {"smove.move_delay_us", "number in [0, 1e6]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          double us = 0;
          if (!OverrideDouble(v, 0.0, 1e6, &us)) {
            return false;
@@ -324,86 +346,86 @@ const std::vector<OverrideSpec>& Overrides() {
       // to every scheduler; at the defaults (speedup 1, cost 0) the model is
       // off and behaviour is byte-identical to a build without it.
       {"cache.warm_speedup", "number in [1, 10]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 1.0, 10.0, &c->kernel.cache.warm_speedup);
        }},
       {"cache.migration_cost_work", "number in [0, 1e9]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1e9, &c->kernel.cache.migration_cost_work);
        }},
       {"cache.warm_threshold", "number in [0, 1]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1.0, &c->kernel.cache.warm_threshold);
        }},
       // NestCachePolicy extras (src/nest/nest_cache_policy.h); only the
       // nest_cache variant reads them.
       {"nest_cache.warm_bias_threshold", "number in [0, 1]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1.0, &c->nest_cache.warm_bias_threshold);
        }},
       {"nest_cache.compaction_grace_ticks", "integer in [0, 1000]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 0, 1000, &c->nest_cache.compaction_grace_ticks);
        }},
       {"nest_cache.enable_warm_anchor", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest_cache.enable_warm_anchor);
        }},
       {"nest_cache.enable_cost_aware_expansion", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest_cache.enable_cost_aware_expansion);
        }},
       {"nest_cache.enable_compaction_grace", "bool",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideBool(v, &c->nest_cache.enable_compaction_grace);
        }},
       // Fault-injection plan (src/fault/, docs/FAULTS.md). All rates default
       // to 0 (no plan drawn, goldens byte-identical); rates are expected
       // events per simulated second per machine.
       {"fault.core_fail_rate_per_s", "number in [0, 1000]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1000.0, &c->fault.core_fail_rate_per_s);
        }},
       {"fault.core_downtime_ms", "number in [0, 1e6]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1e6, &c->fault.core_downtime_ms);
        }},
       {"fault.machine_fail_rate_per_s", "number in [0, 1000]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1000.0, &c->fault.machine_fail_rate_per_s);
        }},
       {"fault.machine_downtime_ms", "number in [0, 1e6]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1e6, &c->fault.machine_downtime_ms);
        }},
       {"fault.horizon_s", "number in [0, 1e6]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1e6, &c->fault.horizon_s);
        }},
       // Task replication: N copies per injected task (cluster: per request
       // part), JOIN on the first `quorum` completions; losers are reaped.
       {"replicas", "integer in [1, 16]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 1, 16, &c->fault.replicas);
        }},
       {"fault.quorum", "integer in [0, 16] (0 = all replicas)",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 0, 16, &c->fault.quorum);
        }},
       // Energy budget (src/governors/, docs/FAULTS.md). budget_w 0 disables;
       // only the "budget" governor acts on it.
       {"power.budget_w", "number in [0, 1e6]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1e6, &c->power.budget_w);
        }},
       {"power.headroom_fraction", "number in (0, 1]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 1e-9, 1.0, &c->power.headroom_fraction);
        }},
       // NestBudgetPolicy extras (src/nest/nest_budget_policy.h); only the
       // nest_budget variant reads them.
       {"nest_budget.min_primary", "integer in [1, 4096]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 1, 4096, &c->nest_budget.min_primary);
        }},
       // Prediction subsystem (src/predict/, docs/PREDICTION.md). model_file
@@ -411,7 +433,7 @@ const std::vector<OverrideSpec>& Overrides() {
       // mid-campaign failure; the path resolves like scenario files do.
       {"predict.model_file",
        "string (path to a valid nest-predict-table model JSON; see docs/PREDICTION.md)",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string* why) {
          std::string path;
          if (!OverrideString(v, &path)) {
            return false;
@@ -419,17 +441,18 @@ const std::vector<OverrideSpec>& Overrides() {
          ScenarioError load_err;
          auto model = std::make_shared<TableModel>();
          if (!LoadTableModelFile(ResolveScenarioPath(path), model.get(), &load_err)) {
+           *why = "does not load: " + load_err.Join();
            return false;
          }
          c->predict.model = std::move(model);
          return true;
        }},
       {"predict.oracle_window_ms", "number in (0, 1e6]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 1e-9, 1e6, &c->predict.oracle_window_ms);
        }},
       {"predict.oracle_margin", "integer in [0, 4096]",
-       [](ExperimentConfig* c, const JsonValue& v) {
+       [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 0, 4096, &c->predict.oracle_margin);
        }},
   };
@@ -451,8 +474,10 @@ bool ApplyConfigOverride(ExperimentConfig* config, const std::string& key, const
                          const std::string& path, ScenarioError* err) {
   for (const OverrideSpec& o : Overrides()) {
     if (key == o.key) {
-      if (!o.apply(config, value)) {
-        err->Add(path, "\"" + key + "\" expects " + o.expects);
+      std::string why;
+      if (!o.apply(config, value, &why)) {
+        err->Add(path,
+                 "\"" + key + "\" " + (why.empty() ? "expects " + std::string(o.expects) : why));
         return false;
       }
       return true;
@@ -738,7 +763,7 @@ void ParseCluster(const JsonValue* v, const std::string& path, Scenario* out,
   const std::string cpath = path + "/cluster";
   SpecReader reader(*v, cpath, *err);
   out->has_cluster = true;
-  // Named fleet sizes for rack-scale runs (docs/PARALLEL.md). Applied
+  // Named fleet sizes for rack-scale runs (docs/DOMAINS.md). Applied
   // before "machines" so an explicit machine count overrides the preset.
   std::string preset;
   reader.TakeEnum("preset", &preset, {"rack8", "rack16", "rack32"});

@@ -147,6 +147,10 @@ struct Scenario {
 // Figure-5 Smove column.
 std::vector<ScenarioVariant> StandardScenarioVariants(bool include_smove);
 
+// The config every job of `variant` on `machine` starts from: its scheduler
+// and governor, everything else at its default.
+ExperimentConfig VariantConfig(const std::string& machine, const ScenarioVariant& variant);
+
 // Applies one dotted override key ("nest.r_max", "time_limit_s", ...) to the
 // config. Unknown keys, bad types, and out-of-range values are reported via
 // `err` under `path`. Returns err.ok() for this application.

@@ -1,4 +1,4 @@
-#include "src/sim/parallel.h"
+#include "src/sim/domain_group.h"
 
 #include <cassert>
 

@@ -1,4 +1,4 @@
-// The domain group: one simulation over per-machine engines (docs/PARALLEL.md).
+// The domain group: one simulation over per-machine engines (docs/DOMAINS.md).
 //
 // A DomainGroup partitions one simulation into N *domains* — independent
 // Engines, each with its own event queue and clock (the cluster layer gives
@@ -17,8 +17,8 @@
 // domain clock). The order is a property of the event data alone, and every
 // golden was recorded on it.
 
-#ifndef NESTSIM_SRC_SIM_PARALLEL_H_
-#define NESTSIM_SRC_SIM_PARALLEL_H_
+#ifndef NESTSIM_SRC_SIM_DOMAIN_GROUP_H_
+#define NESTSIM_SRC_SIM_DOMAIN_GROUP_H_
 
 #include <functional>
 #include <memory>
@@ -92,4 +92,4 @@ class DomainGroup {
 
 }  // namespace nestsim
 
-#endif  // NESTSIM_SRC_SIM_PARALLEL_H_
+#endif  // NESTSIM_SRC_SIM_DOMAIN_GROUP_H_

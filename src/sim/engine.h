@@ -67,7 +67,7 @@ class Engine {
   SimTime NextEventTime() { return queue_.Empty() ? kNoEvent : queue_.NextTime(); }
 
   // Jumps the clock forward to `t` without firing anything. The domain group
-  // (src/sim/parallel.h) uses this to line every domain clock up before a
+  // (src/sim/domain_group.h) uses this to line every domain clock up before a
   // cross-domain event or the final metric harvest (lazy integrators
   // such as HardwareModel::EnergyJoules integrate "up to Now()", so clocks
   // must agree on where the run ended). `t` must be >= Now(); events still

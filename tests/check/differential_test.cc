@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/json_check.h"
+#include "src/scenario/runner.h"
 
 namespace nestsim {
 namespace {
@@ -59,8 +60,10 @@ TEST(DifferentialTest, FullLoadNasIsCfsNestNeutral) {
 }
 
 // Fault injection (docs/FAULTS.md) pre-draws its plan from the run seed, so
-// the serial and pooled passes must stay digest-identical even while cores
-// die, tasks evacuate, and replica quorums race to JOIN.
+// the serial and pooled passes must draw the same plan. This ~1 ms hackbench
+// ends before the first failure drawn at 40 per second, and only injected
+// tasks replicate (Kernel::InjectTask) while hackbench injects none: no core
+// dies and no quorum forms here. The fleet case below has both.
 TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
   const JsonValue spec = ParseSpec(R"({
     "name": "diff-faults",
@@ -85,6 +88,57 @@ TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
   const DifferentialReport report = RunDifferential(spec, /*full_load=*/false);
   EXPECT_TRUE(report.ok()) << report.Join();
   EXPECT_EQ(report.jobs, 3u);
+}
+
+// A `requests` fleet with replicas and core failures: cores go offline,
+// replica quorums join and losers are reaped, so the record comparison covers
+// replicas_reaped and wasted_replica_ms across worker counts.
+JsonValue ReplicatedFleetSpecJson() {
+  return ParseSpec(R"({
+    "name": "diff-replicas",
+    "machines": ["amd-4650g-1s"],
+    "variants": [
+      {"label": "cfs", "scheduler": "cfs", "governor": "schedutil"},
+      {"label": "nest", "scheduler": "nest", "governor": "schedutil"}
+    ],
+    "workload": {"family": "requests",
+                 "params": {"rate_per_s": 2000, "arrivals": "poisson", "duration_s": 0.05,
+                            "service_ms": 1.0}},
+    "cluster": {"machines": 2, "router": "least-loaded"},
+    "repetitions": 2,
+    "base_seed": 23,
+    "config": {
+      "time_limit_s": 20,
+      "fault.core_fail_rate_per_s": 100.0,
+      "fault.core_downtime_ms": 10.0,
+      "replicas": 2,
+      "fault.quorum": 1
+    },
+    "table": {"style": "none"}
+  })");
+}
+
+TEST(DifferentialTest, ReplicatedFleetStaysDeterministicAcrossWorkerCounts) {
+  const JsonValue spec = ReplicatedFleetSpecJson();
+  Scenario scenario;
+  ScenarioError err;
+  ASSERT_TRUE(ParseScenario(spec, "diff-replicas", &scenario, &err)) << err.Join();
+  ScenarioRunOptions options;
+  options.campaign.jobs = 1;
+  options.campaign.progress = false;
+  options.campaign.jsonl_path.clear();
+  ScenarioRun run;
+  ASSERT_TRUE(ExpandScenario(scenario, options, &run, &err)) << err.Join();
+  ExecuteScenario(&run);
+  ASSERT_TRUE(run.outcomes[0].ok()) << run.outcomes[0].message;
+  const ExperimentResult& first = run.outcomes[0].result.runs[0];
+  EXPECT_GT(first.counters.faults_injected, 0u);
+  EXPECT_GT(first.counters.replica_quorum_joins, 0u);
+  EXPECT_GT(first.resilience.replicas_reaped, 0u);
+
+  const DifferentialReport report = RunDifferential(spec, /*full_load=*/false);
+  EXPECT_TRUE(report.ok()) << report.Join();
+  EXPECT_EQ(report.jobs, 2u);
 }
 
 // Same property under a per-socket power cap: the budget governor's windowed

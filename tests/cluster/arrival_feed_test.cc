@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/parallel.h"
+#include "src/sim/domain_group.h"
 #include "src/workloads/requests.h"
 
 namespace nestsim {

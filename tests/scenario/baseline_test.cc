@@ -198,6 +198,118 @@ TEST(BaselineTest, WallToleranceOnlyBitesWhenEnabled) {
   EXPECT_NE(strict.problems[0].find("wall_s"), std::string::npos) << strict.problems[0];
 }
 
+TEST(BaselineTest, GoldenKeyTheWriterNoLongerEmitsFails) {
+  const std::string dir = FreshDir("baseline_retired_key");
+  const ScenarioRun run = ExecutedSmokeRun();
+  std::string error;
+  ASSERT_TRUE(RecordBaseline(run, dir, &error)) << error;
+
+  // A golden recorded by a writer that also emitted "retired_ns" per run.
+  const std::string path = BaselinePath(dir, "baseline_test");
+  std::string text;
+  {
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  const size_t pos = text.find("\"makespan_ns\":");
+  ASSERT_NE(pos, std::string::npos);
+  text.insert(pos, "\"retired_ns\":7,");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+
+  const BaselineCheck check = CheckBaseline(run, dir);
+  EXPECT_FALSE(check.ok());
+  ASSERT_EQ(check.problems.size(), 1u) << ::testing::PrintToString(check.problems);
+  EXPECT_NE(check.problems[0].find("tiny-gcc x CFS sched: fresh record lacks \"retired_ns\""),
+            std::string::npos)
+      << check.problems[0];
+}
+
+// CompareJobRecords is the comparator of both the golden gate and the fuzz
+// differential (src/check/differential.cc), which holds one pass's records to
+// another's with wall_s left out.
+Job RecordedJob() {
+  Job job;
+  job.workload = "tiny-gcc";
+  job.variant = "Nest sched";
+  job.config.machine = "intel-5218-2s";
+  job.base_seed = 3;
+  return job;
+}
+
+JobOutcome TwoRunOutcome() {
+  JobOutcome outcome;
+  outcome.status = JobStatus::kOk;
+  outcome.wall_seconds = 0.5;
+  outcome.result.runs.resize(2);
+  for (ExperimentResult& r : outcome.result.runs) {
+    r.makespan = 40 * kMillisecond;
+    r.energy_joules = 1.25;
+    r.context_switches = 90;
+    r.tasks_created = 12;
+  }
+  return outcome;
+}
+
+std::vector<std::string> CompareOutcomes(const JobOutcome& golden, const JobOutcome& fresh) {
+  JsonValue golden_record;
+  JsonValue fresh_record;
+  std::string error;
+  EXPECT_TRUE(JsonParse(BaselineJobRecord(RecordedJob(), golden), &golden_record, &error));
+  EXPECT_TRUE(JsonParse(BaselineJobRecord(RecordedJob(), fresh), &fresh_record, &error));
+  std::vector<std::string> problems;
+  CompareJobRecords(golden_record, fresh_record, /*wall_tolerance=*/0.0, &problems);
+  return problems;
+}
+
+TEST(CompareJobRecordsTest, EqualOutcomesAtAnyWallTimeMatch) {
+  JobOutcome fresh = TwoRunOutcome();
+  fresh.wall_seconds = 9.0;
+  EXPECT_TRUE(CompareOutcomes(TwoRunOutcome(), fresh).empty());
+}
+
+TEST(CompareJobRecordsTest, OneRunsEnergyIsReported) {
+  JobOutcome fresh = TwoRunOutcome();
+  fresh.result.runs[1].energy_joules = 1.2500000000000002;
+  const std::vector<std::string> problems = CompareOutcomes(TwoRunOutcome(), fresh);
+  ASSERT_EQ(problems.size(), 1u) << ::testing::PrintToString(problems);
+  EXPECT_EQ(problems[0],
+            "intel-5218-2s x tiny-gcc x Nest sched: energy_j changed: golden 1.25, fresh "
+            "1.2500000000000002 (runs[1])");
+}
+
+TEST(CompareJobRecordsTest, OneResilienceMemberIsReported) {
+  JobOutcome golden = TwoRunOutcome();
+  golden.result.runs[0].resilience.replicas_reaped = 4;
+  golden.result.runs[0].resilience.wasted_replica_ms = 1.5;
+  JobOutcome fresh = golden;
+  fresh.result.runs[0].resilience.wasted_replica_ms = 2.5;
+  const std::vector<std::string> problems = CompareOutcomes(golden, fresh);
+  ASSERT_EQ(problems.size(), 1u) << ::testing::PrintToString(problems);
+  EXPECT_NE(problems[0].find("wasted_replica_ms changed: golden 1.5, fresh 2.5 (runs[0])"),
+            std::string::npos)
+      << problems[0];
+}
+
+TEST(CompareJobRecordsTest, JobThatDidNotFinishComparesByStatusAlone) {
+  JobOutcome failed;
+  failed.status = JobStatus::kFailed;
+  failed.message = "first message";
+  JobOutcome failed_again = failed;
+  failed_again.message = "second message";
+  EXPECT_TRUE(CompareOutcomes(failed, failed_again).empty());
+
+  const std::vector<std::string> problems = CompareOutcomes(TwoRunOutcome(), failed);
+  ASSERT_EQ(problems.size(), 1u) << ::testing::PrintToString(problems);
+  EXPECT_NE(problems[0].find("status changed: golden \"ok\", fresh \"failed\""),
+            std::string::npos)
+      << problems[0];
+}
+
 TEST(BaselineTest, VerdictJsonIsValidAndCarriesProblems) {
   BaselineCheck pass;
   pass.scenario = "a";

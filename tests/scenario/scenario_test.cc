@@ -394,6 +394,40 @@ TEST(ScenarioParseTest, LoadScenarioReadsAFile) {
   std::remove(path.c_str());
 }
 
+std::string ModelFileScenario(const std::string& model_path) {
+  return R"({"name":"t","workload":{"family":"nas"},"config":{"predict.model_file":")" +
+         model_path + R"("}})";
+}
+
+TEST(ScenarioParseTest, MissingModelFileIsNamed) {
+  const std::string path = testing::TempDir() + "/no-such-model.json";
+  const ScenarioError err = MustFail(ModelFileScenario(path));
+  EXPECT_TRUE(Mentions(err, "\"predict.model_file\" does not load: " + path +
+                                ": cannot open model file"))
+      << err.Join();
+}
+
+TEST(ScenarioParseTest, MalformedModelFileNamesPathAndParsePosition) {
+  const std::string path = testing::TempDir() + "/malformed-model.json";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << R"({"model": "nest-predict-table", "version" 1})";
+  }
+  const ScenarioError err = MustFail(ModelFileScenario(path));
+  EXPECT_TRUE(Mentions(err, path + ": invalid JSON: ")) << err.Join();
+  EXPECT_TRUE(Mentions(err, "(at byte 42)")) << err.Join();
+
+  // Valid JSON that is not a model names the whole path too.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << R"({"model": "other", "version": 1, "buckets": []})";
+  }
+  const ScenarioError wrong = MustFail(ModelFileScenario(path));
+  EXPECT_TRUE(Mentions(wrong, path + ": \"model\" must be \"nest-predict-table\""))
+      << wrong.Join();
+  std::remove(path.c_str());
+}
+
 TEST(ScenarioRegistryTest, NineFamiliesRegistered) {
   EXPECT_EQ(WorkloadFamilies().size(), 9u);
   for (const char* name : {"configure", "dacapo", "nas", "phoronix", "server", "requests",

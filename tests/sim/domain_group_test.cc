@@ -1,8 +1,8 @@
-// DomainGroup (src/sim/parallel.h): the canonical (timestamp, domain id,
+// DomainGroup (src/sim/domain_group.h): the canonical (timestamp, domain id,
 // insertion seq) total order, clock semantics at cross-domain events, and
 // the run controls (time limit, abort, fail-fast).
 
-#include "src/sim/parallel.h"
+#include "src/sim/domain_group.h"
 
 #include <gtest/gtest.h>
 

@@ -30,7 +30,7 @@
 #      fault.*/power.*/nest_budget.* config key (plus `replicas`) the
 #      scenario engine accepts is documented there, and so is every
 #      resilience field the campaign JSONL sink can emit;
-#  14. docs/PARALLEL.md is linked from README.md and DESIGN.md, and
+#  14. docs/DOMAINS.md is linked from README.md and DESIGN.md, and
 #      documents the huge-machine and rack preset names
 #      (intel-8153-4s/8s, rack8/16/32);
 #  15. docs/PREDICTION.md is linked from README.md and DESIGN.md, every
@@ -221,8 +221,13 @@ for key in $(grep -ohE '\{"((fault|power|nest_budget)\.[a-z_]+|replicas)", "(boo
     fail=1
   fi
 done
-for field in $(sed -n '/r.resilience.any()/,/^      }/p' src/campaign/jsonl_sink.cc \
-                 | grep -ohE 'AppendField\(out, "[a-z_]+"' | sed 's/.*"\([a-z_]*\)"/\1/' | sort -u); do
+fields=$(sed -n '/^void AppendResilienceFields/,/^}/p' src/campaign/jsonl_sink.cc \
+           | grep -ohE 'AppendJsonField\(out, "[a-z_]+"' | sed 's/.*"\([a-z_]*\)"/\1/' | sort -u)
+if [ -z "$fields" ]; then
+  echo "FAIL: no resilience field found in AppendResilienceFields (src/campaign/jsonl_sink.cc)"
+  fail=1
+fi
+for field in $fields; do
   if ! grep -q "\`$field\`" docs/FAULTS.md; then
     echo "FAIL: resilience field '$field' is emitted by the JSONL sink but not documented in docs/FAULTS.md"
     fail=1
@@ -232,14 +237,14 @@ done
 # 14. The domain-group reference is reachable and names the huge-machine and
 #     rack presets that exist for rack-scale runs.
 for doc in README.md DESIGN.md; do
-  if ! grep -q 'docs/PARALLEL.md' "$doc"; then
-    echo "FAIL: $doc does not link docs/PARALLEL.md"
+  if ! grep -q 'docs/DOMAINS.md' "$doc"; then
+    echo "FAIL: $doc does not link docs/DOMAINS.md"
     fail=1
   fi
 done
 for preset in "intel-8153-4s" "intel-8153-8s" "rack8" "rack16" "rack32"; do
-  if ! grep -q "\`$preset\`" docs/PARALLEL.md; then
-    echo "FAIL: rack-scale preset '$preset' is not documented in docs/PARALLEL.md"
+  if ! grep -q "\`$preset\`" docs/DOMAINS.md; then
+    echo "FAIL: rack-scale preset '$preset' is not documented in docs/DOMAINS.md"
     fail=1
   fi
 done
