@@ -1,5 +1,6 @@
 #include "src/campaign/campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 
 #include "src/campaign/jsonl_sink.h"
 #include "src/campaign/progress.h"
+#include "src/sim/cpu_budget.h"
 
 namespace nestsim {
 
@@ -120,7 +122,12 @@ std::vector<JobOutcome> Campaign::Run() {
     }
   };
 
+  // Every thread that runs jobs sits on a CPU of the budget, all held before
+  // the first starts, so a fleet job's windowed executor borrows only what
+  // the whole pool leaves free.
+  const CpuBudget::Hold hold(std::max(workers, 1));
   if (workers <= 1) {
+    const CpuBudget::Seat seat;
     for (size_t i = 0; i < n; ++i) {
       outcomes[i] = ExecuteJob(jobs_[i]);
       stream_outcome(i);
@@ -129,6 +136,7 @@ std::vector<JobOutcome> Campaign::Run() {
   } else {
     std::atomic<size_t> next{0};
     auto worker = [&] {
+      const CpuBudget::Seat seat;
       while (true) {
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) {

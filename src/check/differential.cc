@@ -5,15 +5,22 @@
 #include "src/obs/json_check.h"
 #include "src/scenario/baseline.h"
 #include "src/scenario/runner.h"
+#include "src/sim/domain_group.h"
 
 namespace nestsim {
 
 namespace {
 
+// Helper threads every windowed fleet gets in the pooled pass: two, so
+// windows interleave threads whatever the host's CPU count.
+constexpr int kWindowWorkers = 2;
+
 // Expands and executes one pass of the grid with `jobs` campaign workers,
-// the invariant checker forced on, and the caller's mutation applied.
-bool RunPass(const Scenario& scenario, int jobs, const DifferentialOptions& options,
-             ScenarioRun* run, ScenarioError* err) {
+// every fleet's domain group on `window_workers` helper threads (0: the
+// serial loop), the invariant checker forced on, and the caller's mutation
+// applied.
+bool RunPass(const Scenario& scenario, int jobs, int window_workers,
+             const DifferentialOptions& options, ScenarioRun* run, ScenarioError* err) {
   ScenarioRunOptions run_options;
   run_options.campaign.jobs = jobs;
   run_options.campaign.progress = false;
@@ -27,7 +34,9 @@ bool RunPass(const Scenario& scenario, int jobs, const DifferentialOptions& opti
       options.mutate_config(&job.config);
     }
   }
+  DomainGroup::SetWorkersForTesting(window_workers);
   ExecuteScenario(run);
+  DomainGroup::SetWorkersForTesting(-1);
   return true;
 }
 
@@ -43,7 +52,7 @@ std::string JobLabel(const ScenarioRun& run, size_t machine, size_t row, size_t 
 
 // Holds pass b to pass a with the golden gate's comparator: every job's
 // record from pass a plays the golden, wall_s left out. `passes` names the
-// two in problem messages ("1 worker vs a pool").
+// two in problem messages ("1 worker vs a pool with windowed fleets").
 void CheckDeterminism(const ScenarioRun& a, const ScenarioRun& b, const std::string& passes,
                       DifferentialReport* report) {
   for (size_t i = 0; i < a.jobs.size(); ++i) {
@@ -195,15 +204,15 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
 
   ScenarioRun serial;
   ScenarioRun parallel;
-  if (!RunPass(scenario, options.serial_jobs, options, &serial, &err) ||
-      !RunPass(scenario, options.parallel_jobs, options, &parallel, &err)) {
+  if (!RunPass(scenario, options.serial_jobs, 0, options, &serial, &err) ||
+      !RunPass(scenario, options.parallel_jobs, kWindowWorkers, options, &parallel, &err)) {
     report.problems.push_back("scenario does not expand:\n" + err.Join());
     return report;
   }
   report.jobs = serial.jobs.size();
 
   CheckHealth(serial, &report);
-  CheckDeterminism(serial, parallel, "1 worker vs a pool", &report);
+  CheckDeterminism(serial, parallel, "1 worker vs a pool with windowed fleets", &report);
   // The nest_predict fallback contract (docs/PREDICTION.md §3): with no
   // model loaded the policy must be bit-identical to plain Nest. Re-run the
   // serial pass with every kNest job flipped to kNestPredict — model nulled,
@@ -225,7 +234,7 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
       }
     };
     ScenarioRun predict;
-    if (!RunPass(scenario, options.serial_jobs, flip, &predict, &err)) {
+    if (!RunPass(scenario, options.serial_jobs, 0, flip, &predict, &err)) {
       report.problems.push_back("scenario does not expand:\n" + err.Join());
       return report;
     }

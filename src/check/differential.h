@@ -2,15 +2,17 @@
 //
 // RunDifferential parses a scenario spec (normally one from
 // src/check/generator.h), forces the invariant checker on for every job, and
-// executes the whole grid several times — once on a single campaign worker,
-// once on a parallel campaign pool, and — when the grid has a plain-Nest
-// variant — once with those jobs flipped to the model-less nest_predict
-// policy. It then cross-checks:
+// executes the whole grid several times — once on a single campaign worker
+// with every fleet on the domain group's serial loop, once on a parallel
+// campaign pool with every multi-machine fleet that allows it in windows on
+// two helper threads (src/sim/domain_group.h), and — when the grid has a
+// plain-Nest variant — once with those jobs flipped to the model-less
+// nest_predict policy. It then cross-checks:
 //
 //   * determinism — the same seed must give the same golden record
 //     (src/scenario/baseline.h: every member BaselineJobRecord writes, wall
-//     time left out) regardless of campaign worker count, compared by the
-//     golden gate's own CompareJobRecords;
+//     time left out) regardless of campaign worker count and executor,
+//     compared by the golden gate's own CompareJobRecords;
 //   * job health — invariant violations, unexpected failures, and timeouts
 //     all surface as problems;
 //   * predictor fallback — every kNest job re-runs flipped to kNestPredict

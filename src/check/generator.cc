@@ -457,9 +457,7 @@ GeneratedScenario GenerateScenario(uint64_t seed) {
     }
   }
   if (with_nest_predict) {
-    // The committed tiny model, resolved like a scenario path so the fuzzer
-    // finds it from the repo root and from build/.
-    Add(config, "predict.model_file", Str("models/tiny-predict.json"));
+    Add(config, "predict.model_file", Str(kGeneratedModelFile));
   }
   if (with_nest_oracle && rng.NextBool(0.5)) {
     Add(config, "predict.oracle_window_ms", Num(Uniform(rng, 1.0, 50.0)));

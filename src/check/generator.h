@@ -19,6 +19,12 @@
 
 namespace nestsim {
 
+// The committed model every generated nest_predict draw names in
+// predict.model_file. It is relative, so it resolves like a scenario path
+// (ResolveScenarioPath): from the repository root, from build/, or through
+// NESTSIM_SCENARIO_DIR.
+inline constexpr char kGeneratedModelFile[] = "models/tiny-predict.json";
+
 struct GeneratedScenario {
   uint64_t seed = 0;
   JsonValue spec;    // scenario object named "fuzz-<seed>"; ParseScenario-valid

@@ -9,26 +9,39 @@ ArrivalFeed::ArrivalFeed(DomainGroup* group, RequestStream* stream, FireFn fire)
     : group_(group), stream_(stream), fire_(std::move(fire)) {}
 
 void ArrivalFeed::Start() {
-  assert(scheduled_ == 0 && next_.empty() && "Start() runs once");
-  stream_->Next(&next_);
+  assert(scheduled_ == 0 && drawn_.empty() && "Start() runs once");
   ScheduleInstant();
 }
 
+void ArrivalFeed::DrawAhead() {
+  while (drawn_.empty() || drawn_.back().front().arrival == drawn_.front().front().arrival) {
+    std::vector<RequestPart> parts;
+    if (!drawn_.empty()) {
+      parts.reserve(drawn_.back().size());  // requests of a stream are alike
+    }
+    if (!stream_->Next(&parts)) {
+      return;  // the trace is exhausted; Next() keeps returning false
+    }
+    drawn_.push_back(std::move(parts));
+  }
+}
+
 void ArrivalFeed::ScheduleInstant() {
-  if (next_.empty()) {
+  DrawAhead();
+  if (drawn_.empty()) {
     return;  // the trace is exhausted
   }
-  const SimTime instant = next_.front().arrival;
+  const SimTime instant = drawn_.front().front().arrival;
   trigger_ = scheduled_;
-  do {
+  while (!drawn_.empty() && drawn_.front().front().arrival == instant) {
     requests_.push_back(RequestRecord{instant, scheduled_});
-    for (RequestPart& part : next_) {
+    for (RequestPart& part : drawn_.front()) {
       // The event captures only the index, so it fits EventFn's inline buffer.
       group_->ScheduleCoordinator(instant, [this, index = scheduled_++] { Fire(index); });
       queued_.push_back(std::move(part));
     }
-    next_.clear();
-  } while (stream_->Next(&next_) && next_.front().arrival == instant);
+    drawn_.pop_front();
+  }
 }
 
 void ArrivalFeed::Fire(size_t index) {

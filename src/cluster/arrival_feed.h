@@ -15,6 +15,12 @@
 // needs the whole instant queued at once: queueing one part when the
 // previous one fires would let a same-instant domain event, which fires
 // before the coordinator's, slip a reap between two parts of one instant.
+//
+// Drawing is separate from queueing. DrawAhead() draws the next instant and
+// the request that opens the one after it, and queueing draws only what
+// DrawAhead() left undrawn. The draws read nothing but the stream's RNG, so
+// the fleet runner draws while the domains run a window (docs/DOMAINS.md §4)
+// and the serial coordinator phase only queues.
 
 #ifndef NESTSIM_SRC_CLUSTER_ARRIVAL_FEED_H_
 #define NESTSIM_SRC_CLUSTER_ARRIVAL_FEED_H_
@@ -50,17 +56,22 @@ class ArrivalFeed {
   // Schedules instant 0. Call once, before the run.
   void Start();
 
+  // Draws, without scheduling, until the requests drawn ahead hold the whole
+  // next instant and the request after it, or the stream ends. Touches only
+  // the stream and the feed's draw buffer.
+  void DrawAhead();
+
   // True while a scheduled part has not fired or the stream holds more
   // requests: the fleet is not done offering load.
-  bool live() const { return fired_ < scheduled_ || !next_.empty(); }
+  bool live() const { return fired_ < scheduled_ || !drawn_.empty(); }
 
   // Every request scheduled so far, in plan order, and their part count.
   const std::vector<RequestRecord>& requests() const { return requests_; }
   size_t parts_scheduled() const { return scheduled_; }
 
  private:
-  // Moves the drawn request in next_, and every following request at the
-  // same arrival, onto the coordinator, then draws the request after them.
+  // Moves the next instant's requests onto the coordinator, drawing the
+  // rest of it and the request after it first.
   void ScheduleInstant();
   void Fire(size_t index);
 
@@ -68,7 +79,10 @@ class ArrivalFeed {
   RequestStream* stream_;
   FireFn fire_;
   std::deque<RequestPart> queued_;  // scheduled, unfired; front is part fired_
-  std::vector<RequestPart> next_;   // drawn, unscheduled: opens the next instant
+  // Drawn, unscheduled requests (one parts vector each) in plan order: the
+  // next instant, whole or begun, and after DrawAhead() the request that
+  // opens the instant after it.
+  std::deque<std::vector<RequestPart>> drawn_;
   std::vector<RequestRecord> requests_;
   size_t scheduled_ = 0;
   size_t fired_ = 0;

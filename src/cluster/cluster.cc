@@ -254,8 +254,27 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   // comes from its own generator and cannot be perturbed. Dead machines are
   // failed over to the next alive one in index order; a copy with no alive
   // machine at all is dropped (and its request fails).
+  //
+  // The arrival only routes. Each copy's injection (task creation plus the
+  // policy's fork placement) is queued on its machine's own domain at the
+  // arrival instant, and the kernel's injection hook tracks the task it
+  // creates. On the serial loop the injection fires right after its arrival
+  // event (domains win timestamp ties), before the next part is routed. In
+  // a window (docs/DOMAINS.md §4) the whole instant is routed first; the
+  // least-loaded router counts pending injections as runnable, which is the
+  // only effect of an injection a router reads at its own instant.
   std::vector<uint64_t> routed(static_cast<size_t>(n), 0);
   const int tag = requests->tag();
+  auto on_injected = [&](int m, Task* task, size_t copy) {
+    trackers[static_cast<size_t>(m)]->Track(task->tid, copy);
+    if (replicas > 1) {
+      copy_refs[copy] = CopyRef{kernels[static_cast<size_t>(m)], task};
+    }
+  };
+  for (int m = 0; m < n; ++m) {
+    kernels[static_cast<size_t>(m)]->set_injection_fn(
+        [&on_injected, m](Task* task, size_t copy) { on_injected(m, task, copy); });
+  }
   ArrivalFeed feed(&group, &stream, [&](size_t i, RequestPart& p) {
     grow_to(i + 1);
     for (int r = 0; r < replicas; ++r) {
@@ -272,26 +291,39 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
         }
       }
       ++routed[static_cast<size_t>(m)];
-      std::string name = p.name;
+      // The last copy takes the part's name and program; earlier ones copy.
+      const bool last = r + 1 == replicas;
+      std::string name = last ? std::move(p.name) : p.name;
       if (r > 0) {
         name += ".r" + std::to_string(r);
       }
+      ProgramPtr program = last ? std::move(p.program) : p.program;
       Kernel* kernel = kernels[static_cast<size_t>(m)];
-      Task* task = kernel->InjectTask(p.program, std::move(name), tag);
-      trackers[static_cast<size_t>(m)]->Track(task->tid, copy);
-      if (replicas > 1) {
-        copy_refs[copy] = CopyRef{kernel, task};
+      if (p.arrival >= config.time_limit) {
+        // The first event at or past the limit is the run's last
+        // (DomainGroup::Run), so a queued injection would never fire: inject
+        // inline, and the part that ends the run still creates its task.
+        on_injected(m, kernel->InjectTask(std::move(program), std::move(name), tag), copy);
+        continue;
       }
+      kernel->ScheduleInjection(p.arrival, std::move(program), std::move(name), tag, copy);
     }
   });
   feed.Start();
+  if (replicas <= 1 && config.kernel.placement_latency > 0) {
+    // No domain event schedules a coordinator event (reaps need replicas),
+    // pending arrivals keep fleet_live true, and an injection's enqueue
+    // lands after its own instant, so the domains may run in windows between
+    // arrival instants, drawing the next instant meanwhile.
+    group.EnableWindows([&feed] { feed.DrawAhead(); });
+  }
 
   auto fleet_live = [&] {
     if (feed.live()) {
       return true;
     }
     for (const Kernel* kernel : kernels) {
-      if (kernel->live_tasks() > 0) {
+      if (kernel->live_tasks() > 0 || kernel->pending_injections() > 0) {
         return true;
       }
     }

@@ -29,7 +29,10 @@ class RoundRobinRouter : public RequestRouter {
 };
 
 // Least runnable tasks wins; ties go to the lowest index so the choice is
-// deterministic regardless of machine count.
+// deterministic regardless of machine count. An injection queued on a
+// machine but not yet fired counts as the runnable task it is about to
+// create, so routing a whole arrival instant before its injections run sees
+// the loads that injecting each copy as it was routed would give.
 class LeastLoadedRouter : public RequestRouter {
  public:
   const char* name() const override { return "least-loaded"; }
@@ -37,15 +40,20 @@ class LeastLoadedRouter : public RequestRouter {
             const std::vector<HardwareModel*>& hardware) override {
     (void)hardware;
     int best = 0;
-    int best_load = kernels[0]->runnable_tasks();
+    int best_load = Load(*kernels[0]);
     for (size_t m = 1; m < kernels.size(); ++m) {
-      const int load = kernels[m]->runnable_tasks();
+      const int load = Load(*kernels[m]);
       if (load < best_load) {
         best = static_cast<int>(m);
         best_load = load;
       }
     }
     return best;
+  }
+
+ private:
+  static int Load(const Kernel& kernel) {
+    return kernel.runnable_tasks() + kernel.pending_injections();
   }
 };
 

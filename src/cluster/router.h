@@ -34,7 +34,8 @@ class RequestRouter {
 // Builds a router by name; nullptr on unknown names. Known routers:
 //   passthrough   always machine 0 (the 1-machine equivalence baseline)
 //   round-robin   arrival i goes to machine i % N
-//   least-loaded  machine with the fewest runnable tasks (lowest index ties)
+//   least-loaded  machine with the fewest runnable tasks, counting pending
+//                 injections (lowest index ties)
 //   power-aware   machine drawing the least socket power (lowest index ties)
 std::unique_ptr<RequestRouter> MakeRouter(const std::string& name);
 

@@ -143,13 +143,26 @@ void Kernel::SetInjectionReplication(int replicas, int quorum) {
   injection_quorum_ = std::min(std::max(1, quorum), injection_replicas_);
 }
 
-void Kernel::ScheduleInjection(SimTime when, ProgramPtr program, std::string name, int tag) {
-  ++pending_injections_;
-  // ProgramPtr is a shared_ptr, so the capture keeps the program alive.
-  engine_->ScheduleAt(when, [this, program = std::move(program), name = std::move(name), tag]() mutable {
-    --pending_injections_;
-    InjectTask(std::move(program), std::move(name), tag);
-  });
+void Kernel::ScheduleInjection(SimTime when, ProgramPtr program, std::string name, int tag,
+                               size_t cookie) {
+  size_t slot = injections_.size();
+  if (free_injections_.empty()) {
+    injections_.emplace_back();
+  } else {
+    slot = free_injections_.back();
+    free_injections_.pop_back();
+  }
+  injections_[slot] = PendingInjection{std::move(program), std::move(name), tag, cookie};
+  engine_->ScheduleAt(when, [this, slot] { FireInjection(slot); });
+}
+
+void Kernel::FireInjection(size_t slot) {
+  PendingInjection pending = std::move(injections_[slot]);
+  free_injections_.push_back(slot);
+  Task* task = InjectTask(std::move(pending.program), std::move(pending.name), pending.tag);
+  if (injection_fn_) {
+    injection_fn_(task, pending.cookie);
+  }
 }
 
 void Kernel::ForkChild(Task& parent, ProgramPtr program) {
@@ -841,15 +854,9 @@ Task* Kernel::FindStealableTask(int dst_cpu, bool same_die_only, bool ignore_hot
     RunQueue& src = cpus_[cpu].rq;
     // Scan from the back (largest vruntime = least entitled) and skip
     // cache-hot entries unless the balancer is escalating.
-    Task* candidate = nullptr;
-    const std::vector<Task*> queued = src.QueuedTasks();
-    for (auto it = queued.rbegin(); it != queued.rend(); ++it) {
-      if (ignore_hotness ||
-          now - task_enqueue_time_[(*it)->tid - 1] >= params_.steal_min_wait) {
-        candidate = *it;
-        break;
-      }
-    }
+    Task* candidate = src.LastQueuedWhere([&](const Task* task) {
+      return ignore_hotness || now - task_enqueue_time_[task->tid - 1] >= params_.steal_min_wait;
+    });
     if (candidate == nullptr) {
       continue;
     }

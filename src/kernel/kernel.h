@@ -14,6 +14,7 @@
 #define NESTSIM_SRC_KERNEL_KERNEL_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,11 +96,21 @@ class Kernel {
 
   // Schedules InjectTask at absolute simulated time `when`. The pending count
   // keeps experiment run loops alive while arrivals are still in flight even
-  // if the machine is momentarily empty (open-loop traffic).
-  void ScheduleInjection(SimTime when, ProgramPtr program, std::string name, int tag);
+  // if the machine is momentarily empty (open-loop traffic). When it fires,
+  // the injection hook, if set, receives the injected task and `cookie`.
+  void ScheduleInjection(SimTime when, ProgramPtr program, std::string name, int tag,
+                         size_t cookie = 0);
 
   // Injections scheduled via ScheduleInjection that have not yet fired.
-  int pending_injections() const { return pending_injections_; }
+  int pending_injections() const {
+    return static_cast<int>(injections_.size() - free_injections_.size());
+  }
+
+  // Called with the task each ScheduleInjection creates (the first copy when
+  // replication is on) and that injection's cookie, right after the task's
+  // fork placement. The fleet runner tracks request copies through it.
+  using InjectionFn = std::function<void(Task* task, size_t cookie)>;
+  void set_injection_fn(InjectionFn fn) { injection_fn_ = std::move(fn); }
 
   // Replicates every subsequent InjectTask into `replicas` copies sharing a
   // fresh replica group: the first `quorum` copies to exit win and the rest
@@ -248,6 +259,15 @@ class Kernel {
     bool online = true;             // false while failed (src/fault/)
   };
 
+  // A ScheduleInjection that has not fired. Its event captures only the
+  // slot index, so the closure fits EventFn's inline buffer.
+  struct PendingInjection {
+    ProgramPtr program;
+    std::string name;
+    int tag = 0;
+    size_t cookie = 0;
+  };
+
   // Replica-quorum bookkeeping for injected tasks (src/fault/).
   struct ReplicaGroup {
     std::vector<Task*> members;
@@ -305,6 +325,8 @@ class Kernel {
   // Lowest-numbered online CPU: the deterministic redirect target when a
   // placement's chosen CPU went offline in flight.
   int FallbackOnlineCpu() const;
+  // Fires the ScheduleInjection held in `slot`.
+  void FireInjection(size_t slot);
   // One injected task (replica-aware wrapper body of InjectTask).
   Task* InjectOne(ProgramPtr program, std::string name, int tag, int replica_group);
   // Exit-side replica accounting: counts completions, fires the quorum join,
@@ -355,8 +377,10 @@ class Kernel {
   int injection_replicas_ = 1;   // copies per InjectTask (1 == off)
   int injection_quorum_ = 1;     // completions that win a replica group
   std::vector<ReplicaGroup> replica_groups_;  // indexed by Task::replica_group
+  std::vector<PendingInjection> injections_;  // slots of unfired injections
+  std::vector<size_t> free_injections_;       // reusable slots of injections_
+  InjectionFn injection_fn_;
   int root_cpu_ = -1;
-  int pending_injections_ = 0;
   int live_tasks_ = 0;
   int runnable_tasks_ = 0;
   uint64_t context_switches_ = 0;

@@ -101,16 +101,20 @@ ProgramBuilder& ProgramBuilder::Exit() {
   return *this;
 }
 
-ProgramPtr ProgramBuilder::Build() {
+ProgramPtr ProgramBuilder::Build() & {
+  // Snapshot, not move: a builder stays usable, so callers can Build() the
+  // same program for several tasks.
+  return ProgramBuilder(*this).Build();
+}
+
+ProgramPtr ProgramBuilder::Build() && {
   if (open_loops_ != 0) {
     std::fprintf(stderr, "nestsim: unbalanced Loop in program '%s'\n", name_.c_str());
     std::abort();
   }
-  // Snapshot, not move: a builder stays usable, so callers can Build() the
-  // same program for several tasks.
   auto program = std::make_shared<Program>();
-  program->name = name_;
-  program->ops = ops_;
+  program->name = std::move(name_);
+  program->ops = std::move(ops_);
   return program;
 }
 

@@ -86,7 +86,10 @@ class ProgramBuilder {
   // Snapshots the current op list into an immutable program; the builder
   // remains usable (and may be Built repeatedly, e.g. one program per
   // worker). Aborts on unbalanced Loop/EndLoop.
-  ProgramPtr Build();
+  ProgramPtr Build() &;
+  // The same program from a builder that is done: moves the name and ops
+  // instead of copying them (`std::move(builder).Build()`).
+  ProgramPtr Build() &&;
 
   static constexpr double kCalibrationGhz = 3.0;
 

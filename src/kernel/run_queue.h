@@ -34,8 +34,20 @@ class RunQueue {
   // first: it has waited least recently), or nullptr.
   Task* Rightmost() const;
 
-  // Queued tasks in vruntime order (copy; for the load balancer's candidate
-  // scan — queues are short).
+  // The queued task with the largest vruntime for which `pred` holds, found
+  // by walking the queue in place from the back (the load balancer's steal
+  // scan), or nullptr.
+  template <typename Pred>
+  Task* LastQueuedWhere(Pred pred) const {
+    for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
+      if (pred(it->second)) {
+        return it->second;
+      }
+    }
+    return nullptr;
+  }
+
+  // Queued tasks in vruntime order (a copy, for tests).
   std::vector<Task*> QueuedTasks() const;
 
   int QueuedCount() const { return static_cast<int>(queue_.size()); }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <tuple>
 
 namespace nestsim {
@@ -117,17 +116,19 @@ bool ParseTableModel(const JsonValue& root, const std::string& file_label, Table
 }
 
 bool LoadTableModelFile(const std::string& path, TableModel* out, ScenarioError* err) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     err->Add(path, "cannot open model file");
     return false;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
+  std::string text;
+  if (!ReadInputFile(in, path, &text, err)) {
+    return false;
+  }
 
   JsonValue root;
   std::string json_error;
-  if (!JsonParse(text.str(), &root, &json_error)) {
+  if (!JsonParse(text, &root, &json_error)) {
     err->Add(path, "invalid JSON: " + json_error);
     return false;
   }

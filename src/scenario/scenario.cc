@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "src/cluster/router.h"
 #include "src/governors/governors.h"
@@ -869,18 +868,36 @@ bool ParseScenario(const JsonValue& root, const std::string& file_label, Scenari
   return err->ok();
 }
 
+bool ReadInputFile(std::istream& in, const std::string& path, std::string* text,
+                   ScenarioError* err) {
+  text->clear();
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    const auto got = static_cast<size_t>(in.gcount());
+    if (text->size() + got > kMaxInputFileBytes) {
+      err->Add(path, "file is larger than the " + std::to_string(kMaxInputFileBytes >> 20) +
+                         " MiB input limit (" + std::to_string(kMaxInputFileBytes) + " bytes)");
+      return false;
+    }
+    text->append(chunk, got);
+  }
+  return true;
+}
+
 bool LoadScenario(const std::string& path, Scenario* out, ScenarioError* err) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     err->Add(path, "cannot open scenario file");
     return false;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
+  std::string text;
+  if (!ReadInputFile(in, path, &text, err)) {
+    return false;
+  }
 
   JsonValue root;
   std::string json_error;
-  if (!JsonParse(text.str(), &root, &json_error)) {
+  if (!JsonParse(text, &root, &json_error)) {
     err->Add(path, "invalid JSON: " + json_error);
     return false;
   }

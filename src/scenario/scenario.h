@@ -10,6 +10,8 @@
 #ifndef NESTSIM_SRC_SCENARIO_SCENARIO_H_
 #define NESTSIM_SRC_SCENARIO_SCENARIO_H_
 
+#include <cstddef>
+#include <istream>
 #include <string>
 #include <vector>
 
@@ -164,6 +166,17 @@ std::vector<std::string> ConfigOverrideKeys();
 // Parses one scenario object. `file_label` prefixes error paths. Returns
 // false (with err populated) on any validation problem.
 bool ParseScenario(const JsonValue& root, const std::string& file_label, Scenario* out,
+                   ScenarioError* err);
+
+// The largest scenario or model file LoadScenario and LoadTableModelFile
+// read (16 MiB; the committed ones are under 2 KB). A larger file is refused
+// before it is parsed.
+inline constexpr size_t kMaxInputFileBytes = size_t{16} << 20;
+
+// Reads the open file `in` whole into `text`. Stops at kMaxInputFileBytes
+// and returns false, with an error under `path` that names the limit, when
+// the file is larger.
+bool ReadInputFile(std::istream& in, const std::string& path, std::string* text,
                    ScenarioError* err);
 
 // Reads `path`, JSON-parses it, and runs ParseScenario.

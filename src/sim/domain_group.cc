@@ -1,6 +1,18 @@
 #include "src/sim/domain_group.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <chrono>
+#include <cstdint>
+#include <exception>
+#include <mutex>
+#include <optional>
+#include <system_error>
+#include <thread>
+#include <utility>
+
+#include "src/sim/cpu_budget.h"
 
 namespace nestsim {
 
@@ -9,6 +21,134 @@ namespace {
 // Same stride the single-engine experiment loop uses, so abort latency and
 // checker fail-fast behave as they did on one shared engine.
 constexpr int kAbortCheckStride = 2048;
+
+// How long a thread polls before it blocks in the kernel. A coordinator
+// phase plus the rest of a window lasts tens of microseconds, so a helper
+// that spins through it starts the next window without a wake-up, which on
+// a virtual machine can cost as much as the window itself: on perfbench
+// `rack` (4 vCPUs), a 50 us spin lost 18% of the window time to hand-offs
+// and 200 us lost 3%.
+constexpr std::chrono::microseconds kSpin{200};
+
+std::atomic<int> g_forced_workers{-1};
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Returns the first value of `value` for which `done` holds: polls for up to
+// kSpin, yielding now and then to any thread waiting for this CPU, then
+// blocks on the atomic until a store changes it.
+template <typename T, typename Done>
+T SpinThenWait(const std::atomic<T>& value, Done done) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kSpin;
+  T v{};
+  for (int polls = 1; !done(v = value.load(std::memory_order_acquire)); ++polls) {
+    if (polls % 64 != 0) {
+      CpuRelax();
+    } else if (Clock::now() < deadline) {
+      std::this_thread::yield();
+    } else {
+      value.wait(v, std::memory_order_acquire);
+    }
+  }
+  return v;
+}
+
+// Helper threads for one windowed run. Every window hands each helper and
+// the calling thread the same job; Dispatch() returns once all of them
+// finished it.
+class WindowPool {
+ public:
+  // Starts up to `workers` helpers, fewer if the system refuses a thread:
+  // results do not depend on the count.
+  explicit WindowPool(int workers) {
+    threads_.reserve(static_cast<size_t>(workers));
+    for (int i = 0; i < workers; ++i) {
+      try {
+        threads_.emplace_back([this, i] { Work(i); });
+      } catch (const std::system_error&) {
+        break;
+      }
+    }
+  }
+
+  ~WindowPool() {
+    stop_ = true;
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    for (std::thread& t : threads_) {
+      t.join();
+    }
+  }
+
+  WindowPool(const WindowPool&) = delete;
+  WindowPool& operator=(const WindowPool&) = delete;
+
+  int workers() const { return static_cast<int>(threads_.size()); }
+
+  // Runs job(i) on every helper i and job(workers) on the calling thread,
+  // waits for all of them, then rethrows the first exception (the
+  // caller's first).
+  void Dispatch(const std::function<void(int thread)>& job) {
+    job_ = &job;
+    running_.store(static_cast<int>(threads_.size()), std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    std::exception_ptr caller_error;
+    try {
+      job(static_cast<int>(threads_.size()));
+    } catch (...) {
+      caller_error = std::current_exception();
+    }
+    // The helpers hold references into the caller's frame until they are
+    // done, so a throwing caller still waits for them.
+    SpinThenWait(running_, [](int left) { return left == 0; });
+    if (caller_error) {
+      std::rethrow_exception(caller_error);
+    }
+    if (error_) {
+      std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+  }
+
+ private:
+  void Work(int index) {
+    uint32_t seen = 0;
+    for (;;) {
+      seen = SpinThenWait(generation_, [seen](uint32_t g) { return g != seen; });
+      if (stop_) {
+        return;
+      }
+      try {
+        (*job_)(index);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu_);
+        if (!error_) {
+          error_ = std::current_exception();
+        }
+      }
+      if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        running_.notify_one();
+      }
+    }
+  }
+
+  // Bumped to hand out a job (or stop_); job_ and stop_ are written before
+  // the bump and read after it.
+  std::atomic<uint32_t> generation_{0};
+  std::atomic<int> running_{0};  // helpers still in the current job
+  const std::function<void(int)>* job_ = nullptr;
+  bool stop_ = false;
+  std::mutex error_mu_;
+  std::exception_ptr error_;  // guarded by error_mu_ while helpers run
+  std::vector<std::thread> threads_;  // last: the helpers use every member above
+};
 
 }  // namespace
 
@@ -39,12 +179,37 @@ void DomainGroup::AdvanceAllTo(SimTime t) {
   }
 }
 
+void DomainGroup::EnableWindows(std::function<void()> overlap) {
+  windows_ = true;
+  overlap_ = std::move(overlap);
+}
+
+void DomainGroup::SetWorkersForTesting(int workers) {
+  g_forced_workers.store(workers, std::memory_order_relaxed);
+}
+
+DomainGroup::RunResult DomainGroup::Run(const RunOptions& options) {
+  assert(options.live && "RunOptions::live is required");
+  if (windows_ && size() >= 2) {
+    const int forced = g_forced_workers.load(std::memory_order_relaxed);
+    std::optional<CpuBudget::Loan> loan;
+    if (forced < 0) {
+      loan.emplace(size() - 1);  // the caller pumps domains too
+    }
+    const int workers = loan ? loan->cpus() : forced;
+    RunResult result;
+    if (workers > 0 && RunWindows(options, workers, &result)) {
+      return result;
+    }
+  }  // the loan ends here: the serial loop needs only the calling thread
+  return RunSerial(options);
+}
+
 // Fires the globally earliest event across every queue, coordinator last at
 // equal timestamps, replicating the single-shared-engine loop (liveness and
 // time-limit checked before every event, abort/checker polled on a stride,
 // one event at or past the limit allowed to fire).
-DomainGroup::RunResult DomainGroup::Run(const RunOptions& options) {
-  assert(options.live && "RunOptions::live is required");
+DomainGroup::RunResult DomainGroup::RunSerial(const RunOptions& options) {
   RunResult result;
   const int n = size();
   int until_check = kAbortCheckStride;
@@ -87,6 +252,73 @@ DomainGroup::RunResult DomainGroup::Run(const RunOptions& options) {
     }
   }
   return result;
+}
+
+// One window per coordinator timestamp T: (1) every domain fires its events
+// at or before T; (2) every clock advances to T; (3) the coordinator fires
+// its events at T on the calling thread. Within a domain this is the serial
+// loop's order. Across domains only coordinator events could order
+// anything, and they fire in step 3 with every domain at T, as the serial
+// loop fires them. live() is not evaluated: EnableWindows' contract keeps
+// it true while the coordinator holds an event.
+//
+// Domain d is always pumped by thread d mod (helpers + 1), the calling
+// thread last, which runs the overlap work first. A domain that stays on one
+// thread allocates from one malloc arena; one that moved between threads
+// would leave freed memory in several, and peak RSS grows with that spread.
+bool DomainGroup::RunWindows(const RunOptions& options, int workers, RunResult* result) {
+  const int n = size();
+  int threads = 0;  // the helpers that started, plus the calling thread
+  // Abort polls are on each domain's own event stride, carried across
+  // windows (a window is often shorter than the stride).
+  std::vector<int> until_check(static_cast<size_t>(n), kAbortCheckStride);
+  std::atomic<bool> aborted{false};
+  SimTime until = 0;
+  const std::function<void(int)> window = [&](int thread) {
+    if (thread == threads - 1 && overlap_) {
+      overlap_();
+    }
+    for (int d = thread; d < n; d += threads) {
+      Engine& engine = *domains_[static_cast<size_t>(d)];
+      int left = until_check[static_cast<size_t>(d)];
+      while (engine.NextEventTime() <= until) {
+        if (--left <= 0) {
+          left = kAbortCheckStride;
+          if (aborted.load(std::memory_order_relaxed) ||
+              (options.should_abort && options.should_abort())) {
+            aborted.store(true, std::memory_order_relaxed);
+            return;
+          }
+        }
+        engine.Step();
+      }
+      until_check[static_cast<size_t>(d)] = left;
+      engine.AdvanceTo(until);
+    }
+  };
+
+  WindowPool pool(workers);
+  threads = pool.workers() + 1;
+  for (SimTime t; (t = coordinator_.NextEventTime()) < options.time_limit;) {
+    until = t;
+    pool.Dispatch(window);
+    if (aborted.load(std::memory_order_relaxed)) {
+      // A wall-clock truncation: commit the farthest event any domain fired.
+      for (const auto& d : domains_) {
+        global_now_ = std::max(global_now_, d->Now());
+      }
+      result->aborted = true;
+      return true;
+    }
+    while (coordinator_.NextEventTime() == t) {
+      coordinator_.Step();
+    }
+    global_now_ = t;
+    if (options.healthy && !options.healthy()) {
+      return true;  // fail fast; the caller raises the checker report
+    }
+  }
+  return false;
 }
 
 }  // namespace nestsim

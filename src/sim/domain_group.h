@@ -16,6 +16,13 @@
 // fires (lazy integrators such as PELT and the energy model read their
 // domain clock). The order is a property of the event data alone, and every
 // golden was recorded on it.
+//
+// A group whose owner called EnableWindows() may instead run in windows: all
+// domains fire their events up to the next coordinator timestamp T
+// concurrently, on helper threads the CPU budget (src/sim/cpu_budget.h)
+// grants, then every clock advances to T and the coordinator fires its
+// events at T alone. Each domain fires the same events in the same order as
+// on the serial loop; docs/DOMAINS.md §4 gives the conditions and why.
 
 #ifndef NESTSIM_SRC_SIM_DOMAIN_GROUP_H_
 #define NESTSIM_SRC_SIM_DOMAIN_GROUP_H_
@@ -77,7 +84,26 @@ class DomainGroup {
   // Executes until `live` goes false, the clock passes time_limit (one event
   // at or past the limit fires, matching the single-engine loop), every
   // queue drains, `healthy` goes false, or `should_abort` fires.
+  //
+  // With windows enabled, at least two domains and at least one helper
+  // thread, Run() pumps windows while the coordinator's next event lies
+  // before time_limit, and the serial loop runs the rest. Inside a window,
+  // `should_abort` is polled on each domain's stride from the pumping
+  // thread, and `healthy` after every window. An exception a domain event
+  // throws on a helper thread is rethrown here.
   RunResult Run(const RunOptions& options);
+
+  // Lets Run() pump the domains in windows. The caller guarantees that no
+  // domain event schedules a coordinator event, and that `live` stays true
+  // while the coordinator holds an event. `overlap`, if set, runs on the
+  // calling thread at the start of every window while the domains run, so
+  // it must touch nothing a domain event touches.
+  void EnableWindows(std::function<void()> overlap = {});
+
+  // Test seam: every Run() with windows enabled uses exactly `workers`
+  // helper threads (0 runs the serial loop) instead of the CPU budget's
+  // loan; a negative value restores the budget. Process-wide.
+  static void SetWorkersForTesting(int workers);
 
   // Advances every clock (domains and coordinator) to at least `t`; called
   // with Now() before harvesting metrics so lazy integrators all integrate
@@ -85,9 +111,18 @@ class DomainGroup {
   void AdvanceAllTo(SimTime t);
 
  private:
+  RunResult RunSerial(const RunOptions& options);
+  // Pumps windows on `workers` helper threads plus the caller while the
+  // coordinator's next event lies before the time limit. Returns true when
+  // the run ended inside (abort, `healthy` false), false when the serial loop
+  // must run the rest.
+  bool RunWindows(const RunOptions& options, int workers, RunResult* result);
+
   std::vector<std::unique_ptr<Engine>> domains_;
   Engine coordinator_;
   SimTime global_now_ = 0;
+  bool windows_ = false;
+  std::function<void()> overlap_;
 };
 
 }  // namespace nestsim

@@ -65,19 +65,24 @@ bool RequestStream::Next(std::vector<RequestPart>* out) {
     const uint64_t req = requests_++;
     const std::string base = spec_.name + "-req" + std::to_string(req);
 
+    // Builders are moved from, and names built in place: a fleet draws
+    // every arrival instant while its domains run (src/cluster/), and each
+    // allocation here is one more on that path.
     ProgramBuilder parent(base);
     parent.ComputeMs(rng_->NextLogNormal(spec_.service_ms, spec_.service_sigma));
     if (spec_.io_pause_ms > 0.0) {
       parent.Sleep(MillisecondsF(rng_->NextExponential(spec_.io_pause_ms)))
           .ComputeMs(rng_->NextLogNormal(spec_.service_ms * 0.3, spec_.service_sigma));
     }
-    out->push_back({arrival, req, 0, parent.Build(), base});
+    out->push_back({arrival, req, 0, std::move(parent).Build(), base});
 
     for (int f = 0; f < spec_.fanout; ++f) {
-      std::string name = base + ".s" + std::to_string(f + 1);
+      std::string name;
+      name.reserve(base.size() + 12);
+      name.append(base).append(".s").append(std::to_string(f + 1));
       ProgramBuilder sub(name);
       sub.ComputeMs(rng_->NextLogNormal(spec_.fanout_service_ms, spec_.service_sigma));
-      out->push_back({arrival, req, f + 1, sub.Build(), std::move(name)});
+      out->push_back({arrival, req, f + 1, std::move(sub).Build(), std::move(name)});
     }
     return true;
   }

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "src/kernel/program.h"
+#include "src/sim/cpu_budget.h"
 #include "src/workloads/configure.h"
 
 namespace nestsim {
@@ -195,6 +198,37 @@ TEST(CampaignTest, JobStatusNames) {
   EXPECT_STREQ(JobStatusName(JobStatus::kOk), "ok");
   EXPECT_STREQ(JobStatusName(JobStatus::kTimeout), "timeout");
   EXPECT_STREQ(JobStatusName(JobStatus::kFailed), "failed");
+}
+
+// A campaign holds a CPU for every thread it runs jobs on before the first
+// starts, so even the first job of a pool as wide as the host borrows
+// nothing: every job sees the whole pool's hold.
+TEST(CpuBudgetTest, ACampaignHoldsItsThreadsBeforeAnyJobRuns) {
+  const int usable = UsableCpus();
+  const int workers = usable + 1;
+  Campaign campaign("budget", CampaignOptions{workers, /*progress=*/false, /*jsonl_path=*/""});
+  std::mutex mu;
+  int max_loan = 0;
+  int min_held = workers + 1;
+  for (int i = 0; i < workers; ++i) {
+    Job job;
+    job.model = SmallConfigure();
+    job.runner = [&](const ExperimentConfig&, const Workload&) {
+      const int held = CpuBudget::Held();
+      const CpuBudget::Loan loan(8);
+      const std::lock_guard<std::mutex> lock(mu);
+      min_held = std::min(min_held, held);
+      max_loan = std::max(max_loan, loan.cpus());
+      return ExperimentResult();
+    };
+    campaign.Add(std::move(job));
+  }
+  for (const JobOutcome& outcome : campaign.Run()) {
+    EXPECT_TRUE(outcome.ok()) << outcome.message;
+  }
+  EXPECT_EQ(max_loan, 0);
+  EXPECT_GE(min_held, workers);
+  EXPECT_EQ(CpuBudget::Held(), 0);
 }
 
 }  // namespace

@@ -60,10 +60,11 @@ TEST(DifferentialTest, FullLoadNasIsCfsNestNeutral) {
 }
 
 // Fault injection (docs/FAULTS.md) pre-draws its plan from the run seed, so
-// the serial and pooled passes must draw the same plan. This ~1 ms hackbench
-// ends before the first failure drawn at 40 per second, and only injected
-// tasks replicate (Kernel::InjectTask) while hackbench injects none: no core
-// dies and no quorum forms here. The fleet case below has both.
+// the serial and pooled passes must draw the same plan. The hackbench runs
+// last several milliseconds and cores fail at 1000 per second, so faults land
+// in every run; the executed grid below shows they do. Only injected tasks
+// replicate (Kernel::InjectTask) and hackbench injects none, so no quorum
+// forms here. The fleet case below has both.
 TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
   const JsonValue spec = ParseSpec(R"({
     "name": "diff-faults",
@@ -73,18 +74,35 @@ TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
       {"label": "nest", "scheduler": "nest", "governor": "schedutil"},
       {"label": "nest_cache", "scheduler": "nest_cache", "governor": "schedutil"}
     ],
-    "workload": {"family": "hackbench", "params": {"groups": 2, "fan": 2, "loops": 8}},
+    "workload": {"family": "hackbench", "params": {"groups": 2, "fan": 2, "loops": 512}},
     "repetitions": 2,
     "base_seed": 17,
     "config": {
       "time_limit_s": 20,
-      "fault.core_fail_rate_per_s": 40.0,
-      "fault.core_downtime_ms": 10.0,
+      "fault.core_fail_rate_per_s": 1000.0,
+      "fault.core_downtime_ms": 2.0,
       "replicas": 2,
       "fault.quorum": 1
     },
     "table": {"style": "none"}
   })");
+  Scenario scenario;
+  ScenarioError err;
+  ASSERT_TRUE(ParseScenario(spec, "diff-faults", &scenario, &err)) << err.Join();
+  ScenarioRunOptions options;
+  options.campaign.jobs = 1;
+  options.campaign.progress = false;
+  options.campaign.jsonl_path.clear();
+  ScenarioRun run;
+  ASSERT_TRUE(ExpandScenario(scenario, options, &run, &err)) << err.Join();
+  ExecuteScenario(&run);
+  for (const JobOutcome& outcome : run.outcomes) {
+    ASSERT_TRUE(outcome.ok()) << outcome.message;
+    for (const ExperimentResult& r : outcome.result.runs) {
+      EXPECT_GT(r.counters.faults_injected, 0u);
+    }
+  }
+
   const DifferentialReport report = RunDifferential(spec, /*full_load=*/false);
   EXPECT_TRUE(report.ok()) << report.Join();
   EXPECT_EQ(report.jobs, 3u);

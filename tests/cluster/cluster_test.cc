@@ -196,6 +196,33 @@ TEST(ClusterRunTest, TimeLimitedRunOffersTheWholeTrace) {
   EXPECT_LT(r.cluster.requests_completed, r.cluster.requests_offered);
 }
 
+// A time limit that falls on an arrival instant ends the run with that
+// instant's first part, the first event at or past the limit: its task is
+// created and placed, and no later part is. Both executors agree.
+TEST(ClusterRunTest, AnArrivalAtTheTimeLimitEndsTheRunWithItsTask) {
+  RequestSpec spec = SmallTraffic();
+  spec.fanout = 2;
+  const RequestWorkload workload(spec);
+  ExperimentConfig config = SmallConfig(SchedulerKind::kNest);
+  Rng rng(config.seed);
+  Rng wl_rng = rng.Fork();
+  const RequestPlan plan = workload.BuildPlan(wl_rng);
+  size_t first = plan.parts.size() / 2;
+  while (plan.parts[first].part != 0) {
+    ++first;  // an instant opens with its request's parent
+  }
+  config.time_limit = plan.parts[first].arrival;
+  for (const int workers : {0, 2}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    DomainGroup::SetWorkersForTesting(workers);
+    const ExperimentResult r =
+        RunClusterExperiment(ClusterSpec{2, "round-robin"}, config, workload);
+    DomainGroup::SetWorkersForTesting(-1);
+    EXPECT_TRUE(r.hit_time_limit);
+    EXPECT_EQ(r.tasks_created, static_cast<int>(first) + 1);
+  }
+}
+
 TEST(ClusterRunTest, UnknownRouterThrows) {
   const RequestWorkload workload(SmallTraffic());
   EXPECT_THROW(RunClusterExperiment(ClusterSpec{2, "no-such-router"},
@@ -264,6 +291,48 @@ TEST(RouterTest, LeastLoadedPrefersTheIdlerMachine) {
   m0.kernel.InjectTask(builder.Build(), "busy", /*tag=*/0);
   EXPECT_GT(m0.kernel.runnable_tasks(), 0);
   EXPECT_EQ(router->Route(kernels, hardware), 1);
+}
+
+// In a window the coordinator routes a whole arrival instant before its
+// injections fire, so a queued injection counts as the runnable task it is
+// about to create: each routing sees the loads injecting every earlier copy
+// right away gives. Firing an injection moves its load from pending to
+// runnable and leaves the choice unchanged, and the injection hook receives
+// the task with its cookie.
+TEST(RouterTest, LeastLoadedCountsQueuedInjectionsAsRunnable) {
+  DomainGroup group(2);
+  const ExperimentConfig config = SmallConfig(SchedulerKind::kCfs);
+  MachineModel m0(&group.domain(0), config, 0);
+  MachineModel m1(&group.domain(1), config, 1);
+  m0.kernel.Start();
+  m1.kernel.Start();
+  const std::vector<Kernel*> kernels = {&m0.kernel, &m1.kernel};
+  const std::vector<HardwareModel*> hardware = {&m0.hw, &m1.hw};
+  const auto router = MakeRouter("least-loaded");
+  ProgramBuilder builder("queued");
+  builder.ComputeMs(5.0);
+  const ProgramPtr program = builder.Build();
+
+  m0.kernel.ScheduleInjection(0, program, "queued", /*tag=*/0, /*cookie=*/7);
+  EXPECT_EQ(m0.kernel.runnable_tasks(), 0);
+  EXPECT_EQ(m0.kernel.pending_injections(), 1);
+  EXPECT_EQ(router->Route(kernels, hardware), 1);
+  m1.kernel.ScheduleInjection(0, program, "queued", /*tag=*/0);
+  EXPECT_EQ(router->Route(kernels, hardware), 0);  // one each: lowest index
+
+  const Task* injected = nullptr;
+  size_t cookie = 0;
+  m0.kernel.set_injection_fn([&](Task* task, size_t c) {
+    injected = task;
+    cookie = c;
+  });
+  ASSERT_TRUE(group.domain(0).Step());  // the injection, at time 0
+  ASSERT_NE(injected, nullptr);
+  EXPECT_EQ(injected->name, "queued");
+  EXPECT_EQ(cookie, 7u);
+  EXPECT_EQ(m0.kernel.pending_injections(), 0);
+  EXPECT_EQ(m0.kernel.runnable_tasks(), 1);
+  EXPECT_EQ(router->Route(kernels, hardware), 0);
 }
 
 TEST(RequestPlanTest, PlanIsDeterministicAndOrdered) {

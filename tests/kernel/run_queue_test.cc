@@ -152,7 +152,8 @@ TEST(RunQueueTest, LeftmostTieBreaksByTid) {
 
 // The cached leftmost pointer is redundant state (== queue_.begin()); drive
 // the queue through random enqueue/dequeue/curr churn and require the cache,
-// Rightmost, and min_vruntime to match an independently maintained model.
+// Rightmost, LastQueuedWhere and min_vruntime to match an independently
+// maintained model.
 TEST(RunQueueTest, LeftmostCacheCoherenceUnderRandomOps) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
@@ -219,6 +220,15 @@ TEST(RunQueueTest, LeftmostCacheCoherenceUnderRandomOps) {
         // The cache must also agree with the tree's own ordering.
         ASSERT_EQ(rq.Leftmost(), rq.QueuedTasks().front());
       }
+      // The in-place back-to-front scan the balancer steals with.
+      const auto steals = [](const Task* t) { return t->tid % 3 != 0; };
+      Task* expect_steal = nullptr;
+      for (Task* t : model) {
+        if (steals(t) && (expect_steal == nullptr || before(expect_steal, t))) {
+          expect_steal = t;
+        }
+      }
+      ASSERT_EQ(rq.LastQueuedWhere(steals), expect_steal) << "seed " << seed << " step " << step;
     }
   }
 }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -159,6 +162,20 @@ TEST(PredictIoTest, RejectsMalformedModels) {
     EXPECT_FALSE(ParseTableModel(root, "bad", &model, &err)) << json;
     EXPECT_FALSE(err.ok()) << json;
   }
+}
+
+// The model reader shares the scenario reader's input cap.
+TEST(PredictIoTest, RefusesAModelFileOverTheInputCap) {
+  const std::string path = testing::TempDir() + "/model_too_large.json";
+  { std::ofstream out(path, std::ios::trunc); }
+  std::filesystem::resize_file(path, kMaxInputFileBytes + 1);  // sparse
+  TableModel model;
+  ScenarioError err;
+  EXPECT_FALSE(LoadTableModelFile(path, &model, &err));
+  EXPECT_NE(err.Join().find(path + ": file is larger than the 16 MiB input limit"),
+            std::string::npos)
+      << err.Join();
+  std::remove(path.c_str());
 }
 
 TEST(FeatureFormatTest, G17RoundTripsDoublesExactly) {

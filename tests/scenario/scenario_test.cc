@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "src/scenario/registry.h"
@@ -391,6 +392,27 @@ TEST(ScenarioParseTest, LoadScenarioReadsAFile) {
   ScenarioError invalid;
   EXPECT_FALSE(LoadScenario(path, &s, &invalid));
   EXPECT_TRUE(Mentions(invalid, "invalid JSON"));
+  std::remove(path.c_str());
+}
+
+// A file one byte over the input cap is refused before it is parsed, with
+// the path and the limit in the message. The file is sparse: it costs no
+// disk, and reading stops at the cap.
+TEST(ScenarioParseTest, LoadScenarioRefusesAFileOverTheInputCap) {
+  const std::string path = testing::TempDir() + "/scenario_too_large.json";
+  { std::ofstream out(path, std::ios::trunc); }
+  std::filesystem::resize_file(path, kMaxInputFileBytes + 1);
+  Scenario s;
+  ScenarioError err;
+  EXPECT_FALSE(LoadScenario(path, &s, &err));
+  EXPECT_TRUE(Mentions(err, path + ": file is larger than the 16 MiB input limit (" +
+                                std::to_string(kMaxInputFileBytes) + " bytes)"))
+      << err.Join();
+  // Exactly at the cap the file is read, and fails as the JSON it is.
+  std::filesystem::resize_file(path, kMaxInputFileBytes);
+  ScenarioError at_cap;
+  EXPECT_FALSE(LoadScenario(path, &s, &at_cap));
+  EXPECT_TRUE(Mentions(at_cap, "invalid JSON")) << at_cap.Join();
   std::remove(path.c_str());
 }
 

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #ifndef NESTSIM_RUN_BIN
@@ -109,6 +110,30 @@ TEST(NestsimFuzzCliTest, JobsRejectsMissingValue) {
   const CliResult result = RunCommand(kFuzz + " --jobs");
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("--jobs"), std::string::npos) << result.output;
+}
+
+// Generated scenarios name the committed model by a path relative to the
+// scenarios directory. From a directory where it does not resolve, the
+// fuzzer refuses to start, naming the path and NESTSIM_SCENARIO_DIR,
+// instead of failing every seed that draws the model and writing repros.
+TEST(NestsimFuzzCliTest, UnresolvableModelRefusesToStart) {
+  std::string dir = testing::TempDir() + "nestsim-fuzz-cwd-XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string cd = "cd '" + dir + "' && ";
+  const CliResult refused =
+      RunCommand(cd + "env -u NESTSIM_SCENARIO_DIR " + kFuzz + " --runs 1 --repro-dir repros");
+  EXPECT_EQ(refused.exit_code, 2) << refused.output;
+  EXPECT_NE(refused.output.find("models/tiny-predict.json"), std::string::npos)
+      << refused.output;
+  EXPECT_NE(refused.output.find("NESTSIM_SCENARIO_DIR=(unset)"), std::string::npos)
+      << refused.output;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/repros"));
+
+  // Pointed at the scenarios directory, the same directory fuzzes clean.
+  const CliResult clean = RunCommand(cd + "NESTSIM_SCENARIO_DIR='" NESTSIM_REPO_DIR
+                                          "/scenarios' " + kFuzz + " --runs 2 --repro-dir repros");
+  EXPECT_EQ(clean.exit_code, 0) << clean.output;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(NestsimExportCliTest, FormatRejectsUnknownValue) {

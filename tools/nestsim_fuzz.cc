@@ -13,7 +13,12 @@
 // --shrink is on) ready to commit under scenarios/corpus/ and replay with
 // nestsim_run.
 //
-// Exit codes: 0 all runs clean, 1 at least one failure, 2 usage error.
+// Generated scenarios name the committed model as models/tiny-predict.json,
+// which resolves like a scenario path; where it does not (another working
+// directory without NESTSIM_SCENARIO_DIR), the tool refuses to start.
+//
+// Exit codes: 0 all runs clean, 1 at least one failure, 2 usage error or an
+// unresolvable model.
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +30,8 @@
 #include "src/check/differential.h"
 #include "src/check/generator.h"
 #include "src/check/shrink.h"
+#include "src/scenario/predict_io.h"
+#include "src/scenario/runner.h"
 #include "tools/cli_num.h"
 
 using namespace nestsim;
@@ -152,6 +159,22 @@ int main(int argc, char** argv) {
       }
     }
     return 0;
+  }
+
+  // Every seed that draws nest_predict loads the committed model; where it
+  // does not resolve, those seeds would fail falsely and leave repros.
+  TableModel model;
+  ScenarioError model_err;
+  if (!LoadTableModelFile(ResolveScenarioPath(kGeneratedModelFile), &model, &model_err)) {
+    const char* dir = std::getenv("NESTSIM_SCENARIO_DIR");
+    std::fprintf(stderr,
+                 "nestsim_fuzz: generated scenarios load predict.model_file \"%s\", which "
+                 "does not resolve from this directory with NESTSIM_SCENARIO_DIR=%s:\n%s\n"
+                 "nestsim_fuzz: run from the repository root or build/, or set "
+                 "NESTSIM_SCENARIO_DIR to the repository's scenarios/ directory\n",
+                 kGeneratedModelFile, dir != nullptr ? dir : "(unset)",
+                 model_err.Join().c_str());
+    return 2;
   }
 
   long failures = 0;
