@@ -127,7 +127,6 @@ std::vector<JobOutcome> Campaign::Run() {
   // the whole pool leaves free.
   const CpuBudget::Hold hold(std::max(workers, 1));
   if (workers <= 1) {
-    const CpuBudget::Seat seat;
     for (size_t i = 0; i < n; ++i) {
       outcomes[i] = ExecuteJob(jobs_[i]);
       stream_outcome(i);
@@ -136,7 +135,6 @@ std::vector<JobOutcome> Campaign::Run() {
   } else {
     std::atomic<size_t> next{0};
     auto worker = [&] {
-      const CpuBudget::Seat seat;
       while (true) {
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) {

@@ -1,19 +1,28 @@
 #include "src/check/differential.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/obs/json_check.h"
 #include "src/scenario/baseline.h"
 #include "src/scenario/runner.h"
+#include "src/sim/cpu_budget.h"
 #include "src/sim/domain_group.h"
 
 namespace nestsim {
 
 namespace {
 
-// Helper threads every windowed fleet gets in the pooled pass: two, so
-// windows interleave threads whatever the host's CPU count.
-constexpr int kWindowWorkers = 2;
+// Helper threads every windowed fleet gets in the pooled pass: one, so each
+// window runs on two threads whatever the host's CPU count.
+constexpr int kWindowWorkers = 1;
+
+// The pooled pass's campaign workers: the caller's count, capped so that
+// every worker's window threads fit the usable CPUs. Forced helpers bypass
+// the CPU budget, and a helper that waits for a CPU stalls every window.
+int PooledJobs(int requested) {
+  return std::clamp(UsableCpus() / (kWindowWorkers + 1), 1, std::max(requested, 1));
+}
 
 // Expands and executes one pass of the grid with `jobs` campaign workers,
 // every fleet's domain group on `window_workers` helper threads (0: the
@@ -205,7 +214,8 @@ DifferentialReport RunDifferential(const JsonValue& spec, bool full_load,
   ScenarioRun serial;
   ScenarioRun parallel;
   if (!RunPass(scenario, options.serial_jobs, 0, options, &serial, &err) ||
-      !RunPass(scenario, options.parallel_jobs, kWindowWorkers, options, &parallel, &err)) {
+      !RunPass(scenario, PooledJobs(options.parallel_jobs), kWindowWorkers, options, &parallel,
+               &err)) {
     report.problems.push_back("scenario does not expand:\n" + err.Join());
     return report;
   }

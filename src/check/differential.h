@@ -5,9 +5,11 @@
 // executes the whole grid several times — once on a single campaign worker
 // with every fleet on the domain group's serial loop, once on a parallel
 // campaign pool with every multi-machine fleet that allows it in windows on
-// two helper threads (src/sim/domain_group.h), and — when the grid has a
+// one helper thread (src/sim/domain_group.h), and — when the grid has a
 // plain-Nest variant — once with those jobs flipped to the model-less
-// nest_predict policy. It then cross-checks:
+// nest_predict policy. The pool runs at most half the usable CPUs' worth of
+// workers (src/sim/cpu_budget.h), so every job's two window threads get a
+// CPU each. It then cross-checks:
 //
 //   * determinism — the same seed must give the same golden record
 //     (src/scenario/baseline.h: every member BaselineJobRecord writes, wall
@@ -42,7 +44,8 @@ namespace nestsim {
 
 struct DifferentialOptions {
   // Worker counts for the two passes. Unequal counts make the determinism
-  // cross-check meaningful: results must not depend on execution order.
+  // cross-check meaningful: results must not depend on execution order. The
+  // parallel pass caps its count at half the usable CPUs, and at least 1.
   int serial_jobs = 1;
   int parallel_jobs = 4;
 

@@ -13,8 +13,7 @@ namespace nestsim {
 namespace {
 
 std::mutex g_mu;
-int g_held = 0;               // CPUs held by holds and loans, process-wide
-thread_local int t_seats = 0;  // live seats on this thread
+int g_held = 0;  // CPUs held by holds and loans, process-wide
 
 // The tightest cgroup v2 cpu.max quota on this process's cgroup and its
 // ancestors, in whole CPUs rounded up, or 0 when none is set.
@@ -81,14 +80,10 @@ CpuBudget::Hold::~Hold() {
   g_held -= cpus_;
 }
 
-CpuBudget::Seat::Seat() { ++t_seats; }
-
-CpuBudget::Seat::~Seat() { --t_seats; }
-
 CpuBudget::Loan::Loan(int want) {
   const int usable = UsableCpus();
-  const int self = t_seats > 0 ? 0 : 1;
   std::lock_guard<std::mutex> lock(g_mu);
+  const int self = g_held == 0 ? 1 : 0;
   cpus_ = std::clamp(usable - g_held - self, 0, std::max(want, 0));
   held_ = cpus_ + self;
   g_held += held_;

@@ -3,8 +3,7 @@
 //
 // Two kinds of thread draw on one budget. The campaign pool
 // (src/campaign/) holds one CPU for each thread it runs jobs on, all of
-// them before any starts (a Hold), and each of those threads marks itself
-// as seated on one of them (a Seat). The domain group's windowed executor
+// them before any starts (a Hold). The domain group's windowed executor
 // (src/sim/domain_group.h) borrows what is left for helper threads of one
 // run (a Loan). A loan never takes a CPU a hold or another loan holds, so a
 // campaign that already fills the host runs every fleet on the serial loop
@@ -35,19 +34,11 @@ class CpuBudget {
     int cpus_;
   };
 
-  // Marks the calling thread, while it exists, as running on a CPU that a
-  // Hold counts.
-  class Seat {
-   public:
-    Seat();
-    ~Seat();
-    Seat(const Seat&) = delete;
-    Seat& operator=(const Seat&) = delete;
-  };
-
   // Takes up to `want` CPUs that no hold or loan holds, for helper threads
-  // of the calling thread, until destroyed. A calling thread without a seat
-  // holds one CPU for itself first. cpus() may be 0.
+  // of the calling thread, until destroyed. When nothing is held, the
+  // calling thread runs outside any campaign and holds one CPU for itself
+  // first; otherwise it is a campaign thread, whose CPU the campaign's hold
+  // already counts. cpus() may be 0.
   class Loan {
    public:
     explicit Loan(int want);
@@ -59,7 +50,7 @@ class CpuBudget {
 
    private:
     int cpus_ = 0;
-    int held_ = 0;  // cpus_, plus the caller's CPU when it had no seat
+    int held_ = 0;  // cpus_, plus the caller's CPU when nothing was held
   };
 
   // CPUs held by holds and loans right now.

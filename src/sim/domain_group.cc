@@ -6,7 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <mutex>
+#include <limits>
 #include <optional>
 #include <system_error>
 #include <thread>
@@ -61,8 +61,8 @@ T SpinThenWait(const std::atomic<T>& value, Done done) {
 }
 
 // Helper threads for one windowed run. Every window hands each helper and
-// the calling thread the same job; Dispatch() returns once all of them
-// finished it.
+// the calling thread the same job, which must not throw; Dispatch() returns
+// once all of them finished it.
 class WindowPool {
  public:
   // Starts up to `workers` helpers, fewer if the system refuses a thread:
@@ -93,28 +93,14 @@ class WindowPool {
   int workers() const { return static_cast<int>(threads_.size()); }
 
   // Runs job(i) on every helper i and job(workers) on the calling thread,
-  // waits for all of them, then rethrows the first exception (the
-  // caller's first).
+  // and waits for all of them.
   void Dispatch(const std::function<void(int thread)>& job) {
     job_ = &job;
     running_.store(static_cast<int>(threads_.size()), std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
     generation_.notify_all();
-    std::exception_ptr caller_error;
-    try {
-      job(static_cast<int>(threads_.size()));
-    } catch (...) {
-      caller_error = std::current_exception();
-    }
-    // The helpers hold references into the caller's frame until they are
-    // done, so a throwing caller still waits for them.
+    job(static_cast<int>(threads_.size()));
     SpinThenWait(running_, [](int left) { return left == 0; });
-    if (caller_error) {
-      std::rethrow_exception(caller_error);
-    }
-    if (error_) {
-      std::rethrow_exception(std::exchange(error_, nullptr));
-    }
   }
 
  private:
@@ -125,14 +111,7 @@ class WindowPool {
       if (stop_) {
         return;
       }
-      try {
-        (*job_)(index);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu_);
-        if (!error_) {
-          error_ = std::current_exception();
-        }
-      }
+      (*job_)(index);
       if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         running_.notify_one();
       }
@@ -145,8 +124,6 @@ class WindowPool {
   std::atomic<int> running_{0};  // helpers still in the current job
   const std::function<void(int)>* job_ = nullptr;
   bool stop_ = false;
-  std::mutex error_mu_;
-  std::exception_ptr error_;  // guarded by error_mu_ while helpers run
   std::vector<std::thread> threads_;  // last: the helpers use every member above
 };
 
@@ -190,34 +167,53 @@ void DomainGroup::SetWorkersForTesting(int workers) {
 
 DomainGroup::RunResult DomainGroup::Run(const RunOptions& options) {
   assert(options.live && "RunOptions::live is required");
+  RunResult result;
   if (windows_ && size() >= 2) {
     const int forced = g_forced_workers.load(std::memory_order_relaxed);
-    std::optional<CpuBudget::Loan> loan;
+    bool dense = forced > 0;
     if (forced < 0) {
-      loan.emplace(size() - 1);  // the caller pumps domains too
+      // The probe: the serial loop fires the first coordinator instants
+      // while counting the domain events up to them and the host time.
+      const uint64_t before = TotalEventsFired() - coordinator_.events_fired();
+      const auto start = std::chrono::steady_clock::now();
+      if (RunSerial(options, kProbeInstants, &result)) {
+        return result;
+      }
+      const int64_t host_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                               start)
+              .count();
+      const uint64_t fired = TotalEventsFired() - coordinator_.events_fired() - before;
+      dense = fired >= kProbeInstants * kMinDomainEventsPerInstant &&
+              host_ns >= kProbeInstants * kMinHostNanosPerInstant;
     }
-    const int workers = loan ? loan->cpus() : forced;
-    RunResult result;
-    if (workers > 0 && RunWindows(options, workers, &result)) {
-      return result;
-    }
-  }  // the loan ends here: the serial loop needs only the calling thread
-  return RunSerial(options);
+    if (dense) {
+      std::optional<CpuBudget::Loan> loan;
+      if (forced < 0) {
+        loan.emplace(size() - 1);  // the caller pumps domains too
+      }
+      const int workers = loan ? loan->cpus() : forced;
+      if (workers > 0 && RunWindows(options, workers, &result)) {
+        return result;
+      }
+    }  // the loan ends here: the serial loop needs only the calling thread
+  }
+  RunSerial(options, std::numeric_limits<int>::max(), &result);
+  return result;
 }
 
 // Fires the globally earliest event across every queue, coordinator last at
 // equal timestamps, replicating the single-shared-engine loop (liveness and
 // time-limit checked before every event, abort/checker polled on a stride,
 // one event at or past the limit allowed to fire).
-DomainGroup::RunResult DomainGroup::RunSerial(const RunOptions& options) {
-  RunResult result;
+bool DomainGroup::RunSerial(const RunOptions& options, int instants, RunResult* result) {
   const int n = size();
   int until_check = kAbortCheckStride;
   while (options.live() && global_now_ < options.time_limit) {
     if (--until_check <= 0) {
       until_check = kAbortCheckStride;
       if (options.should_abort && options.should_abort()) {
-        result.aborted = true;
+        result->aborted = true;
         break;
       }
       if (options.healthy && !options.healthy()) {
@@ -246,12 +242,15 @@ DomainGroup::RunResult DomainGroup::RunSerial(const RunOptions& options) {
       }
       coordinator_.Step();
       global_now_ = coord_time;
+      if (coordinator_.NextEventTime() != coord_time && --instants == 0) {
+        return false;  // the coordinator fired its last event at that instant
+      }
     } else {
       domains_[static_cast<size_t>(best)]->Step();
       global_now_ = best_time;
     }
   }
-  return result;
+  return true;
 }
 
 // One window per coordinator timestamp T: (1) every domain fires its events
@@ -266,6 +265,11 @@ DomainGroup::RunResult DomainGroup::RunSerial(const RunOptions& options) {
 // thread last, which runs the overlap work first. A domain that stays on one
 // thread allocates from one malloc arena; one that moved between threads
 // would leave freed memory in several, and peak RSS grows with that spread.
+//
+// A domain whose event throws stops there, and the others finish the window.
+// The exception rethrown is then the earliest in canonical order, (time,
+// domain id), with the overlap's ranked as the coordinator's at T: the one
+// the serial loop would have thrown.
 bool DomainGroup::RunWindows(const RunOptions& options, int workers, RunResult* result) {
   const int n = size();
   int threads = 0;  // the helpers that started, plus the calling thread
@@ -273,24 +277,38 @@ bool DomainGroup::RunWindows(const RunOptions& options, int workers, RunResult* 
   // windows (a window is often shorter than the stride).
   std::vector<int> until_check(static_cast<size_t>(n), kAbortCheckStride);
   std::atomic<bool> aborted{false};
+  struct Failure {
+    SimTime time = 0;
+    std::exception_ptr error;
+  };
+  std::vector<Failure> failures(static_cast<size_t>(n) + 1);  // domains, then the overlap
   SimTime until = 0;
   const std::function<void(int)> window = [&](int thread) {
     if (thread == threads - 1 && overlap_) {
-      overlap_();
+      try {
+        overlap_();
+      } catch (...) {
+        failures[static_cast<size_t>(n)] = {until, std::current_exception()};
+      }
     }
     for (int d = thread; d < n; d += threads) {
       Engine& engine = *domains_[static_cast<size_t>(d)];
       int left = until_check[static_cast<size_t>(d)];
-      while (engine.NextEventTime() <= until) {
-        if (--left <= 0) {
-          left = kAbortCheckStride;
-          if (aborted.load(std::memory_order_relaxed) ||
-              (options.should_abort && options.should_abort())) {
-            aborted.store(true, std::memory_order_relaxed);
-            return;
+      try {
+        while (engine.NextEventTime() <= until) {
+          if (--left <= 0) {
+            left = kAbortCheckStride;
+            if (aborted.load(std::memory_order_relaxed) ||
+                (options.should_abort && options.should_abort())) {
+              aborted.store(true, std::memory_order_relaxed);
+              return;
+            }
           }
+          engine.Step();
         }
-        engine.Step();
+      } catch (...) {
+        failures[static_cast<size_t>(d)] = {engine.Now(), std::current_exception()};
+        continue;
       }
       until_check[static_cast<size_t>(d)] = left;
       engine.AdvanceTo(until);
@@ -302,6 +320,15 @@ bool DomainGroup::RunWindows(const RunOptions& options, int workers, RunResult* 
   for (SimTime t; (t = coordinator_.NextEventTime()) < options.time_limit;) {
     until = t;
     pool.Dispatch(window);
+    const Failure* first = nullptr;
+    for (const Failure& failure : failures) {
+      if (failure.error && (first == nullptr || failure.time < first->time)) {
+        first = &failure;
+      }
+    }
+    if (first != nullptr) {
+      std::rethrow_exception(first->error);
+    }
     if (aborted.load(std::memory_order_relaxed)) {
       // A wall-clock truncation: commit the farthest event any domain fired.
       for (const auto& d : domains_) {

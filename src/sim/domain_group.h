@@ -23,10 +23,13 @@
 // grants, then every clock advances to T and the coordinator fires its
 // events at T alone. Each domain fires the same events in the same order as
 // on the serial loop; docs/DOMAINS.md §4 gives the conditions and why.
+// Windows start only after a short probe on the serial loop shows enough
+// domain work between coordinator events to pay for them.
 
 #ifndef NESTSIM_SRC_SIM_DOMAIN_GROUP_H_
 #define NESTSIM_SRC_SIM_DOMAIN_GROUP_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -85,13 +88,30 @@ class DomainGroup {
   // at or past the limit fires, matching the single-engine loop), every
   // queue drains, `healthy` goes false, or `should_abort` fires.
   //
-  // With windows enabled, at least two domains and at least one helper
-  // thread, Run() pumps windows while the coordinator's next event lies
-  // before time_limit, and the serial loop runs the rest. Inside a window,
+  // With windows enabled and at least two domains, Run() first probes: the
+  // serial loop fires every coordinator event at the first kProbeInstants
+  // coordinator timestamps (instants). If the domains fired at least
+  // kMinDomainEventsPerInstant events per instant meanwhile, the probe took
+  // at least kMinHostNanosPerInstant of host time per instant, and the CPU
+  // budget lends at least one helper thread, Run() pumps windows, one per
+  // instant, while the coordinator's next event lies before time_limit;
+  // the serial loop runs the rest. Which executor runs never changes a
+  // result, so a decision that reads the host clock is safe. Inside a window,
   // `should_abort` is polled on each domain's stride from the pumping
-  // thread, and `healthy` after every window. An exception a domain event
-  // throws on a helper thread is rethrown here.
+  // thread, and `healthy` after every window. When domain events throw in a
+  // window, the exception rethrown here is the earliest in canonical order,
+  // the one the serial loop would have thrown.
   RunResult Run(const RunOptions& options);
+
+  // The probe's length, and what it must show before windows start: enough
+  // domain events per instant to share out between threads, and enough host
+  // work per instant to pay for each window's hand-offs and barrier. Fleets
+  // that place one request per instant fail the first (their windows hold
+  // one busy machine), and fleets of cheap events the second; both ran
+  // slower in windows than on the serial loop (docs/DOMAINS.md §4).
+  static constexpr int kProbeInstants = 16;
+  static constexpr uint64_t kMinDomainEventsPerInstant = 16;
+  static constexpr int64_t kMinHostNanosPerInstant = 15'000;
 
   // Lets Run() pump the domains in windows. The caller guarantees that no
   // domain event schedules a coordinator event, and that `live` stays true
@@ -100,9 +120,10 @@ class DomainGroup {
   // it must touch nothing a domain event touches.
   void EnableWindows(std::function<void()> overlap = {});
 
-  // Test seam: every Run() with windows enabled uses exactly `workers`
-  // helper threads (0 runs the serial loop) instead of the CPU budget's
-  // loan; a negative value restores the budget. Process-wide.
+  // Test seam: every Run() with windows enabled skips the probe and uses
+  // exactly `workers` helper threads (0 runs the serial loop) instead of the
+  // CPU budget's loan; a negative value restores the probe and the budget.
+  // Process-wide.
   static void SetWorkersForTesting(int workers);
 
   // Advances every clock (domains and coordinator) to at least `t`; called
@@ -111,7 +132,10 @@ class DomainGroup {
   void AdvanceAllTo(SimTime t);
 
  private:
-  RunResult RunSerial(const RunOptions& options);
+  // Runs the serial loop until the run ends (returns true) or the
+  // coordinator has fired its last event at `instants` more timestamps
+  // (returns false).
+  bool RunSerial(const RunOptions& options, int instants, RunResult* result);
   // Pumps windows on `workers` helper threads plus the caller while the
   // coordinator's next event lies before the time limit. Returns true when
   // the run ended inside (abort, `healthy` false), false when the serial loop

@@ -1,12 +1,17 @@
 // The domain group's windowed executor (src/sim/domain_group.h) and the CPU
 // budget that sizes it (src/sim/cpu_budget.h). A windowed run must give
 // every domain and the coordinator the fire log the serial loop gives, at
-// any helper count; the tests force counts through the test seam, at least
-// two helpers in the threaded cases, so threads interleave on any host.
+// any helper count; the tests force counts through the test seam, so
+// threads interleave on any host. Only the probe's test takes its helpers
+// from the CPU budget.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,16 +35,25 @@ class ForcedWorkers {
 
 // A synthetic fleet shaped like the cluster runner. Each domain runs its own
 // chain of work events, with gaps drawn from the domain's own Rng (a fifth
-// of them zero) and a load that work events read and wind down. The
+// of them zero, the rest up to `max_gap`), each busy for `work` of host
+// time, and a load that work events read and wind down. The
 // coordinator fires one to four arrivals per instant; the first schedules
 // the next instant, as the arrival feed does. Each arrival routes to the
 // domain with the least load counting queued injections, logs every
 // domain's clock, and queues an injection on that domain at its own
 // instant, whose follow-up lands two ticks later, as a placement does.
-// Every event appends to its own queue's log.
+// Every event appends to its own queue's log, and every domain notes how
+// many instants the coordinator had finished when it first ran off the
+// thread that built the fleet.
 class SyntheticFleet {
  public:
-  SyntheticFleet(DomainGroup* group, uint64_t seed) : group_(group), rng_(seed) {
+  SyntheticFleet(DomainGroup* group, uint64_t seed, SimTime max_gap,
+                 std::chrono::nanoseconds work)
+      : group_(group),
+        rng_(seed),
+        max_gap_(max_gap),
+        work_(work),
+        caller_(std::this_thread::get_id()) {
     for (int d = 0; d < group->size(); ++d) {
       domains_.push_back(std::make_unique<Domain>(seed * 131 + static_cast<uint64_t>(d)));
       ScheduleWork(d, static_cast<SimTime>(d));
@@ -57,12 +71,24 @@ class SyntheticFleet {
     return logs;
   }
 
+  // Instants finished before the first domain event that ran off the
+  // building thread; kNever when none did.
+  static constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+  uint64_t FirstOffTheCaller() const {
+    uint64_t first = kNever;
+    for (const auto& domain : domains_) {
+      first = std::min(first, domain->first_off_caller);
+    }
+    return first;
+  }
+
  private:
   struct Domain {
     explicit Domain(uint64_t seed) : rng(seed) {}
     Rng rng;
     int load = 0;
     int pending = 0;  // injections queued, not fired
+    uint64_t first_off_caller = kNever;
     std::vector<std::string> log;
   };
 
@@ -70,12 +96,22 @@ class SyntheticFleet {
     group_->domain(d).ScheduleAt(t, [this, d] {
       Domain& dom = *domains_[static_cast<size_t>(d)];
       const SimTime now = group_->domain(d).Now();
+      if (dom.first_off_caller == kNever && std::this_thread::get_id() != caller_) {
+        // Arrivals fire only between windows, so reading their count here
+        // is ordered by the window's hand-off.
+        dom.first_off_caller = instants_finished_;
+      }
       dom.log.push_back("work@" + std::to_string(now) + " load " + std::to_string(dom.load));
+      const auto busy_until = std::chrono::steady_clock::now() + work_;
+      while (work_.count() > 0 && std::chrono::steady_clock::now() < busy_until) {
+      }
       if (dom.load > 0 && dom.rng.NextBool(0.3)) {
         --dom.load;
       }
-      const SimTime gap =
-          dom.rng.NextBool(0.2) ? 0 : 1 + static_cast<SimTime>(dom.rng.NextBounded(40));
+      const SimTime gap = dom.rng.NextBool(0.2)
+                              ? 0
+                              : 1 + static_cast<SimTime>(dom.rng.NextBounded(
+                                        static_cast<uint64_t>(max_gap_)));
       ScheduleWork(d, now + gap);
     });
   }
@@ -83,11 +119,14 @@ class SyntheticFleet {
   void ScheduleInstant(SimTime t) {
     const int arrivals = 1 + static_cast<int>(rng_.NextBounded(4));
     for (int a = 0; a < arrivals; ++a) {
-      group_->ScheduleCoordinator(t, [this, a, t] {
+      group_->ScheduleCoordinator(t, [this, a, arrivals, t] {
         if (a == 0) {
           ScheduleInstant(t + 1 + static_cast<SimTime>(rng_.NextBounded(60)));
         }
         Arrive(t);
+        if (a + 1 == arrivals) {
+          ++instants_finished_;
+        }
       });
     }
   }
@@ -119,6 +158,10 @@ class SyntheticFleet {
 
   DomainGroup* group_;
   Rng rng_;
+  SimTime max_gap_;
+  std::chrono::nanoseconds work_;
+  std::thread::id caller_;
+  uint64_t instants_finished_ = 0;
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<std::string> coordinator_log_;
 };
@@ -127,21 +170,24 @@ struct FleetRun {
   std::vector<std::vector<std::string>> logs;
   SimTime now = 0;
   uint64_t events = 0;
+  uint64_t first_off_caller = SyntheticFleet::kNever;
 };
 
 // Runs a synthetic fleet to `limit` with `workers` forced helpers (0: the
-// serial loop).
-FleetRun RunFleet(int domains, uint64_t seed, int workers, SimTime limit = 8000) {
+// serial loop; kBudget: the probe and the CPU budget decide).
+constexpr int kBudget = -1;
+FleetRun RunFleet(int domains, uint64_t seed, int workers, SimTime limit = 8000,
+                  SimTime max_gap = 40, std::chrono::nanoseconds work = {}) {
   ForcedWorkers forced(workers);
   DomainGroup group(domains);
-  SyntheticFleet fleet(&group, seed);
+  SyntheticFleet fleet(&group, seed, max_gap, work);
   group.EnableWindows();
   DomainGroup::RunOptions options;
   options.time_limit = limit;
   options.live = [] { return true; };
   const DomainGroup::RunResult result = group.Run(options);
   EXPECT_FALSE(result.aborted);
-  return FleetRun{fleet.Logs(), group.Now(), group.TotalEventsFired()};
+  return FleetRun{fleet.Logs(), group.Now(), group.TotalEventsFired(), fleet.FirstOffTheCaller()};
 }
 
 TEST(WindowedRunTest, EveryQueueFiresTheSerialLoopsLogAtAnyWorkerCount) {
@@ -161,6 +207,30 @@ TEST(WindowedRunTest, EveryQueueFiresTheSerialLoopsLogAtAnyWorkerCount) {
         EXPECT_EQ(windowed.events, serial.events);
       }
     }
+  }
+}
+
+// Without a forced count, the serial loop runs the probe, and only a fleet
+// dense enough for windows moves off the calling thread, after the probe.
+// The dense fleet fires about 200 domain events per instant, each busy for
+// 500 ns; the light one about 9, below the event floor on any host. Both
+// give the serial loop's logs. On a host with one usable CPU the budget
+// lends nothing, and both stay on the serial loop.
+TEST(WindowedRunTest, OnlyADenseFleetLeavesTheSerialLoopAfterTheProbe) {
+  const std::chrono::nanoseconds work{500};
+  for (const uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const FleetRun dense = RunFleet(8, seed, kBudget, 8000, /*max_gap=*/2, work);
+    const FleetRun dense_serial = RunFleet(8, seed, 0, 8000, /*max_gap=*/2, work);
+    EXPECT_EQ(dense.logs, dense_serial.logs);
+    EXPECT_EQ(dense.now, dense_serial.now);
+    EXPECT_GE(dense.first_off_caller, static_cast<uint64_t>(DomainGroup::kProbeInstants));
+    if (UsableCpus() > 1) {
+      EXPECT_NE(dense.first_off_caller, SyntheticFleet::kNever);
+    }
+    const FleetRun light = RunFleet(2, seed, kBudget);
+    EXPECT_EQ(light.logs, RunFleet(2, seed, 0).logs);
+    EXPECT_EQ(light.first_off_caller, SyntheticFleet::kNever);
   }
 }
 
@@ -247,20 +317,49 @@ TEST(WindowedRunTest, SingleDomainGroupsStayOnTheCallingThread) {
   EXPECT_EQ(group.TotalEventsFired(), 199u + 19u);
 }
 
-// Each domain throws from its own window, so at least one exception comes
-// from a helper thread; Run() rethrows one on the caller and joins the pool.
-TEST(WindowedRunTest, ADomainEventsExceptionIsRethrownOnTheCaller) {
-  ForcedWorkers forced(3);
+// Runs four domains that throw at `times` (-1: never) and an overlap that
+// throws when `overlap_throws`, up to one coordinator event at 10, and
+// returns the message of the exception Run() rethrows.
+std::string RethrownMessage(int workers, const std::vector<SimTime>& times, bool overlap_throws) {
+  ForcedWorkers forced(workers);
   DomainGroup group(4);
-  group.EnableWindows();
+  group.EnableWindows([overlap_throws] {
+    if (overlap_throws) {
+      throw std::runtime_error("overlap");
+    }
+  });
   for (int d = 0; d < 4; ++d) {
-    group.domain(d).ScheduleAt(5, [d] { throw std::runtime_error("domain " + std::to_string(d)); });
+    if (times[static_cast<size_t>(d)] >= 0) {
+      group.domain(d).ScheduleAt(times[static_cast<size_t>(d)],
+                                 [d] { throw std::runtime_error("domain " + std::to_string(d)); });
+    }
   }
   group.ScheduleCoordinator(10, [] {});
   DomainGroup::RunOptions options;
   options.time_limit = 100;
   options.live = [] { return true; };
-  EXPECT_THROW(group.Run(options), std::runtime_error);
+  try {
+    group.Run(options);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+// Domains throw from their own windows, so some exceptions come from helper
+// threads. Run() rethrows the earliest in canonical order, (time, domain
+// id), as the serial loop does, and the overlap's ranks after every domain
+// event of its window.
+TEST(WindowedRunTest, TheEarliestExceptionInCanonicalOrderIsRethrown) {
+  const std::vector<SimTime> times = {9, 7, 7, 8};
+  EXPECT_EQ(RethrownMessage(0, times, false), "domain 1");
+  for (const int workers : {1, 2, 3, 7}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    EXPECT_EQ(RethrownMessage(workers, times, false), "domain 1");
+    EXPECT_EQ(RethrownMessage(workers, times, true), "domain 1");
+    EXPECT_EQ(RethrownMessage(workers, {-1, -1, 10, -1}, true), "domain 2");
+    EXPECT_EQ(RethrownMessage(workers, {-1, -1, -1, -1}, true), "overlap");
+  }
 }
 
 TEST(WindowedRunTest, ShouldAbortStopsInsideAWindow) {
@@ -318,8 +417,6 @@ TEST(CpuBudgetTest, HoldsAndLoansShareOneBudget) {
   {
     // A one-thread campaign: it holds its CPU and runs on it.
     const CpuBudget::Hold hold(1);
-    const CpuBudget::Seat seat;
-    const CpuBudget::Seat nested;  // still the same CPU
     EXPECT_EQ(CpuBudget::Held(), 1);
     CpuBudget::Loan loan(64);
     EXPECT_EQ(loan.cpus(), usable - 1);
@@ -329,7 +426,7 @@ TEST(CpuBudgetTest, HoldsAndLoansShareOneBudget) {
   }
   EXPECT_EQ(CpuBudget::Held(), 0);
   {
-    // Without a seat the borrowing thread holds its own CPU first.
+    // Outside a campaign the borrowing thread holds its own CPU first.
     CpuBudget::Loan loan(64);
     EXPECT_EQ(loan.cpus(), usable - 1);
     EXPECT_EQ(CpuBudget::Held(), usable);

@@ -47,7 +47,8 @@ int Usage(const char* argv0) {
                "  --base-seed S    first generator seed (default 1)\n"
                "  --shrink         minimise failing scenarios before writing repros\n"
                "  --repro-dir DIR  where repros go (default: scenarios/corpus)\n"
-               "  --jobs N         parallel-pass worker count (default 4)\n"
+               "  --jobs N         parallel-pass worker count (default 4; at most half\n"
+               "                   the usable CPUs, so each fleet's window threads fit)\n"
                "  --band X         full-load neutrality band (default 0.35)\n"
                "  --gen-corpus N   write N generated scenarios to --repro-dir and exit\n"
                "  --mutate         self-test: inject a lost-wakeup kernel fault into\n"
