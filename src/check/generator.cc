@@ -429,10 +429,9 @@ GeneratedScenario GenerateScenario(uint64_t seed) {
   // Resilience knob values stay modest: every variant sees the identical
   // pre-drawn fault plan, but the blast radius is placement-dependent, and
   // the full-load cfs↔nest neutrality band has to absorb that skew.
-  // Replication only has a carrier in cluster scenarios (requests are
-  // injected through the replicating path); a replica draw on a
-  // single-machine scenario falls back to fault injection so the gate's
-  // fifth always buys coverage.
+  // Replication is a fleet feature (ParseScenario refuses `replicas` above 1
+  // without a cluster block), so a replica draw on a single-machine scenario
+  // falls back to fault injection and the gate's fifth always buys coverage.
   const bool draw_replicas = with_replicas && cluster;
   const bool draw_faults = with_faults || (with_replicas && !cluster);
   if (draw_faults) {

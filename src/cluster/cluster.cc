@@ -225,8 +225,8 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
       return;
     }
     part_quorum_exit[part] = now;
-    // Mirror the kernel-side replica path: the winning copy's machine logs
-    // the quorum join so SchedCounters sees it in cluster runs too.
+    // The winning copy's machine logs the quorum join, so its SchedCounters
+    // count it.
     if (copy_refs[copy].kernel != nullptr) {
       copy_refs[copy].kernel->NotifyFaultEvent(FaultEventKind::kReplicaQuorumJoin, -1, nullptr);
     }

@@ -130,9 +130,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& w
   std::vector<std::unique_ptr<MachineModel>> machines;
   machines.push_back(std::make_unique<MachineModel>(&group.domain(0), config));
   Kernel& kernel = machines[0]->kernel;
-  if (config.fault.replicas > 1) {
-    kernel.SetInjectionReplication(config.fault.replicas, config.fault.quorum);
-  }
   kernel.Start();
   Rng rng(config.seed);
   workload.Setup(kernel, rng);

@@ -42,9 +42,11 @@ struct FaultSpec {
   // Horizon the plan covers, seconds; 0 uses the config time limit.
   double horizon_s = 0.0;
 
-  // Replication of injected (open-loop request) tasks: each injection spawns
-  // `replicas` copies of the same drawn program; the first `quorum` exits win
-  // and the rest are reaped. replicas <= 1 disables; quorum 0 means 1.
+  // Replication of request parts (cluster runs only, like machine_*;
+  // RunExperiment ignores it, and one box replicates as a one-machine fleet):
+  // the fleet runner routes `replicas` copies of each drawn part; the first
+  // `quorum` exits win and the coordinator reaps the rest. replicas <= 1
+  // disables; quorum 0 means 1.
   int replicas = 1;
   int quorum = 0;
 
@@ -116,7 +118,7 @@ class FaultInjector {
 // digests are untouched.
 struct ResilienceStats {
   uint64_t tasks_killed = 0;     // died with a core/machine (fault kills only)
-  uint64_t replicas_reaped = 0;  // losers killed after their group's quorum
+  uint64_t replicas_reaped = 0;  // losers killed after their part's quorum
   double work_lost_ms = 0.0;     // CPU time invested in fault-killed tasks
   double wasted_replica_ms = 0.0;  // CPU time invested in reaped replicas
   uint64_t evacuations = 0;        // displaced tasks that got a CPU again

@@ -106,19 +106,11 @@ class Kernel {
     return static_cast<int>(injections_.size() - free_injections_.size());
   }
 
-  // Called with the task each ScheduleInjection creates (the first copy when
-  // replication is on) and that injection's cookie, right after the task's
-  // fork placement. The fleet runner tracks request copies through it.
+  // Called with the task each ScheduleInjection creates and that injection's
+  // cookie, right after the task's fork placement. The fleet runner tracks
+  // request copies through it.
   using InjectionFn = std::function<void(Task* task, size_t cookie)>;
   void set_injection_fn(InjectionFn fn) { injection_fn_ = std::move(fn); }
-
-  // Replicates every subsequent InjectTask into `replicas` copies sharing a
-  // fresh replica group: the first `quorum` copies to exit win and the rest
-  // are reaped (src/fault/). Single-machine runs only — the cluster runner
-  // replicates across machines itself. replicas <= 1 disables (the default);
-  // the copies share the already-drawn program, so enabling replication does
-  // not perturb any workload randomness.
-  void SetInjectionReplication(int replicas, int quorum);
 
   // ---- Fault injection (src/fault/). ----
 
@@ -268,14 +260,6 @@ class Kernel {
     size_t cookie = 0;
   };
 
-  // Replica-quorum bookkeeping for injected tasks (src/fault/).
-  struct ReplicaGroup {
-    std::vector<Task*> members;
-    int quorum = 1;
-    int completions = 0;
-    bool reaped = false;
-  };
-
   // -- Task lifecycle --
   Task* NewTask(ProgramPtr program, std::string name, int tag, Task* parent);
   void ForkChild(Task& parent, ProgramPtr program);
@@ -327,11 +311,6 @@ class Kernel {
   int FallbackOnlineCpu() const;
   // Fires the ScheduleInjection held in `slot`.
   void FireInjection(size_t slot);
-  // One injected task (replica-aware wrapper body of InjectTask).
-  Task* InjectOne(ProgramPtr program, std::string name, int tag, int replica_group);
-  // Exit-side replica accounting: counts completions, fires the quorum join,
-  // and schedules the reap of losing copies.
-  void HandleReplicaExit(Task* task, int cpu);
 
   // Re-derives `cpu`'s bits in idle_cpus_/overloaded_cpus_ from its run
   // queue. Must run after every Enqueue/Dequeue/set_curr and before the
@@ -374,9 +353,6 @@ class Kernel {
   bool cache_tracking_ = false;  // params_.cache.enabled() || policy wants it
   uint64_t enqueue_count_ = 0;  // drives the test_skip_enqueue_dispatch hook
   int online_cpus_ = 0;          // count of online CPUs (== num_cpus unless faults)
-  int injection_replicas_ = 1;   // copies per InjectTask (1 == off)
-  int injection_quorum_ = 1;     // completions that win a replica group
-  std::vector<ReplicaGroup> replica_groups_;  // indexed by Task::replica_group
   std::vector<PendingInjection> injections_;  // slots of unfired injections
   std::vector<size_t> free_injections_;       // reusable slots of injections_
   InjectionFn injection_fn_;

@@ -85,7 +85,7 @@ enum class FaultEventKind {
   kMachineCrash,      // whole machine failed (cluster runs)
   kTaskEvacuated,     // a displaced task was re-placed (fault_evacuate path)
   kTaskKilled,        // a task died with the core/machine (work lost)
-  kReplicaQuorumJoin, // a replica group reached its quorum
+  kReplicaQuorumJoin, // a replicated request part reached its quorum
   kReplicaReaped,     // a losing replica was reaped after quorum
 };
 

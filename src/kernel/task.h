@@ -131,11 +131,6 @@ struct Task {
   // task; consumed by KernelObserver::OnTaskPlaced.
   PlacementPath placement_path = PlacementPath::kUnknown;
 
-  // Replica-quorum membership (src/fault/): tasks sharing a replica_group
-  // race; the first `quorum` completions win and the rest are reaped. -1 ==
-  // not replicated.
-  int replica_group = -1;
-
   // When a core failure displaced this task (-1 == never); cleared when it
   // next gets a CPU. The gap is the re-placement latency resilience metric.
   SimTime evacuated_at = -1;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "src/campaign/jsonl_sink.h"
 
@@ -212,17 +213,25 @@ BaselineCheck CheckBaseline(const ScenarioRun& run, const std::string& dir,
   check.baseline_path = BaselinePath(dir, run.scenario.name);
   check.jobs = static_cast<int>(run.jobs.size());
 
-  std::ifstream in(check.baseline_path);
+  std::ifstream in(check.baseline_path, std::ios::binary);
   if (!in) {
     check.problems.push_back("no golden baseline at " + check.baseline_path +
                              " (run --record-baseline first)");
     return check;
   }
+  // The same capped reader as every other input file (kMaxInputFileBytes).
+  std::string text;
+  ScenarioError read_error;
+  if (!ReadInputFile(in, check.baseline_path, &text, &read_error)) {
+    check.problems = read_error.errors;
+    return check;
+  }
 
   std::vector<JsonValue> records;
+  std::istringstream lines(std::move(text));
   std::string line;
   size_t line_no = 0;
-  while (std::getline(in, line)) {
+  while (std::getline(lines, line)) {
     ++line_no;
     if (line.empty()) {
       continue;

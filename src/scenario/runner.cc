@@ -147,6 +147,10 @@ bool ExpandScenario(const Scenario& scenario, const ScenarioRunOptions& options,
                                 scenario.sweep[a].values[points[s][a]],
                                 scenario.name + "/sweep", err);
           }
+          // The wakeup table prints the percentiles record_latency measures.
+          if (scenario.table.style == TableSpec::Style::kWakeup) {
+            job.config.record_latency = true;
+          }
           job.model = model;
           job.repetitions = run->repetitions;
           job.base_seed = run->base_seed;
@@ -324,8 +328,8 @@ void PrintEnergyTable(const ScenarioRun& run, size_t m, size_t s) {
 }
 
 // Wakeup-latency layout (docs/PREDICTION.md): one line per row x variant with
-// the p50/p99 wakeup latency and makespan, averaged across reps. Needs
-// config.record_latency; without it every percentile prints as 0.
+// the p50/p99 wakeup latency and makespan, averaged across reps. ExpandScenario
+// turns config.record_latency on for every job of a scenario with this table.
 void PrintWakeupTable(const ScenarioRun& run, size_t m, size_t s) {
   const Scenario& sc = run.scenario;
   const std::string row_fmt = "%-" + std::to_string(sc.table.row_width) + "s";

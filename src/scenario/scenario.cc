@@ -1,5 +1,6 @@
 #include "src/scenario/scenario.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -401,13 +402,13 @@ const std::vector<OverrideSpec>& Overrides() {
        [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideDouble(v, 0.0, 1e6, &c->fault.horizon_s);
        }},
-      // Task replication: N copies per injected task (cluster: per request
-      // part), JOIN on the first `quorum` completions; losers are reaped.
+      // Request replication (cluster scenarios only): N copies per request
+      // part, JOIN on the first `quorum` completions; losers are reaped.
       {"replicas", "integer in [1, 16]",
        [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 1, 16, &c->fault.replicas);
        }},
-      {"fault.quorum", "integer in [0, 16] (0 = all replicas)",
+      {"fault.quorum", "integer in [0, 16] (0 = 1)",
        [](ExperimentConfig* c, const JsonValue& v, std::string*) {
          return OverrideInt(v, 0, 16, &c->fault.quorum);
        }},
@@ -823,6 +824,31 @@ void ParseConfigAndSweep(SpecReader& reader, Scenario* out, ScenarioError* err) 
   }
 }
 
+// Replication and the latency table need a "cluster" block: only the fleet
+// runner routes request copies and reaps the losers (docs/FAULTS.md §4), and
+// only it fills the ExperimentResult::cluster the latency table prints. One
+// machine runs either as a one-machine fleet.
+void RefuseFleetOnlySettings(const Scenario& sc, const std::string& path, ScenarioError* err) {
+  const auto replicates = [](const JsonValue& v) { return v.is_number() && v.number > 1; };
+  bool replicated = false;
+  for (const auto& [key, value] : sc.config.members) {
+    replicated = replicated || (key == "replicas" && replicates(value));
+  }
+  for (const SweepAxis& axis : sc.sweep) {
+    if (axis.key == "replicas") {
+      replicated = replicated || std::any_of(axis.values.begin(), axis.values.end(), replicates);
+    }
+  }
+  if (replicated) {
+    err->Add(path, "\"replicas\" above 1 needs a \"cluster\" block: only a fleet replicates "
+                   "requests, so replicate one machine as \"cluster\": {\"machines\": 1}");
+  }
+  if (sc.table.style == TableSpec::Style::kLatency) {
+    err->Add(path + "/table", "style \"latency\" needs a \"cluster\" block: it prints fleet "
+                              "request latency, which only a cluster run measures");
+  }
+}
+
 }  // namespace
 
 bool ParseScenario(const JsonValue& root, const std::string& file_label, Scenario* out,
@@ -864,6 +890,8 @@ bool ParseScenario(const JsonValue& root, const std::string& file_label, Scenari
                                  "record/replay protocol is single-machine only)");
       }
     }
+  } else {
+    RefuseFleetOnlySettings(*out, file_label, err);
   }
   return err->ok();
 }

@@ -120,21 +120,6 @@ TEST(CfsForkReuseTest, FanOutBurstsMatchColdDescent) {
   }
 }
 
-TEST(CfsForkReuseTest, ReplicatedInjectionsMatchColdDescent) {
-  for (const bool nest : {false, true}) {
-    Stack stack(MachineByName("intel-5218-2s"), MakePolicy(nest));
-    stack.kernel.SetInjectionReplication(3, 2);
-    RequestSpec spec = FanOutTraffic();
-    spec.fanout = 4;
-    Rng rng(11);
-    RequestWorkload(spec).Setup(stack.kernel, rng);
-    stack.engine.RunUntil(300 * kMillisecond);
-    SCOPED_TRACE(nest ? "nest" : "cfs");
-    EXPECT_GT(stack.check.checked, 300);
-    EXPECT_GT(stack.check.same_instant, stack.check.checked / 2);
-  }
-}
-
 // Deterministic same-instant sequences on a 2-socket, 4-core, 2-thread
 // machine (socket 0 = CPUs 0-3 and their siblings 8-11). Each run-queue
 // change below flips the descent's answer, so a generation that missed the

@@ -62,9 +62,8 @@ TEST(DifferentialTest, FullLoadNasIsCfsNestNeutral) {
 // Fault injection (docs/FAULTS.md) pre-draws its plan from the run seed, so
 // the serial and pooled passes must draw the same plan. The hackbench runs
 // last several milliseconds and cores fail at 1000 per second, so faults land
-// in every run; the executed grid below shows they do. Only injected tasks
-// replicate (Kernel::InjectTask) and hackbench injects none, so no quorum
-// forms here. The fleet case below has both.
+// in every run; the executed grid below shows they do. Only a fleet
+// replicates requests, so the fleet case below adds replica quorums.
 TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
   const JsonValue spec = ParseSpec(R"({
     "name": "diff-faults",
@@ -80,9 +79,7 @@ TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
     "config": {
       "time_limit_s": 20,
       "fault.core_fail_rate_per_s": 1000.0,
-      "fault.core_downtime_ms": 2.0,
-      "replicas": 2,
-      "fault.quorum": 1
+      "fault.core_downtime_ms": 2.0
     },
     "table": {"style": "none"}
   })");

@@ -223,6 +223,30 @@ TEST(ClusterRunTest, AnArrivalAtTheTimeLimitEndsTheRunWithItsTask) {
   }
 }
 
+// A quorum of 2 out of 3 copies: a part completes at its second exit, and the
+// third copy, if still running, is reaped. Bursty load on one machine makes
+// requests queue, so the copies start apart and stragglers are reaped.
+TEST(ClusterRunTest, QuorumOfTwoOutOfThreeReapsAtMostOneCopyPerPart) {
+  RequestSpec spec = SmallTraffic();
+  spec.rate_per_s = 4000.0;
+  spec.service_ms = 1.0;
+  spec.arrivals = ArrivalKind::kBursty;
+  spec.duration_s = 0.1;
+  const RequestWorkload workload(spec);
+  ExperimentConfig config = SmallConfig(SchedulerKind::kCfs);
+  config.fault.replicas = 3;
+  config.fault.quorum = 2;
+  const ExperimentResult r =
+      RunClusterExperiment(ClusterSpec{1, "passthrough"}, config, workload);
+  EXPECT_GT(r.counters.replica_quorum_joins, 0u);
+  EXPECT_GT(r.resilience.replicas_reaped, 0u);
+  // Each part has one loser at most.
+  EXPECT_LE(r.resilience.replicas_reaped, r.counters.replica_quorum_joins);
+  // fanout 0: one part per request, each injected as three copies.
+  EXPECT_EQ(r.tasks_created, static_cast<int>(3 * r.cluster.requests_offered));
+  EXPECT_EQ(r.cluster.requests_completed, r.cluster.requests_offered);
+}
+
 TEST(ClusterRunTest, UnknownRouterThrows) {
   const RequestWorkload workload(SmallTraffic());
   EXPECT_THROW(RunClusterExperiment(ClusterSpec{2, "no-such-router"},

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -177,6 +178,22 @@ TEST(BaselineTest, MissingBaselineFails) {
   ASSERT_FALSE(check.problems.empty());
   EXPECT_NE(check.problems[0].find("no golden baseline"), std::string::npos)
       << check.problems[0];
+}
+
+// A golden over the input cap is refused before it is split into records,
+// with one problem naming the path and the limit. The file is sparse: it
+// costs no disk, and reading stops at the cap.
+TEST(BaselineTest, GoldenOverTheInputCapIsRefused) {
+  const std::string dir = FreshDir("baseline_too_large");
+  const std::string path = BaselinePath(dir, "baseline_test");
+  { std::ofstream out(path, std::ios::trunc); }
+  std::filesystem::resize_file(path, kMaxInputFileBytes + 1);
+  const BaselineCheck check = CheckBaseline(ExecutedSmokeRun(), dir);
+  ASSERT_EQ(check.problems.size(), 1u) << ::testing::PrintToString(check.problems);
+  EXPECT_EQ(check.problems[0], path + ": file is larger than the 16 MiB input limit (" +
+                                   std::to_string(kMaxInputFileBytes) + " bytes)");
+  EXPECT_EQ(check.compared, 0);
+  std::remove(path.c_str());
 }
 
 TEST(BaselineTest, WallToleranceOnlyBitesWhenEnabled) {

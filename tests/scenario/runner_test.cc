@@ -111,6 +111,32 @@ TEST(ScenarioRunnerTest, OptionOverridesWin) {
   }
 }
 
+// The wakeup table prints the percentiles record_latency measures, so every
+// job of a scenario with that table records them, whatever its config says.
+TEST(ScenarioRunnerTest, WakeupTableTurnsOnRecordLatency) {
+  Scenario scenario = SmokeScenario();
+  scenario.machines = {"intel-5218-2s"};
+  scenario.rows.resize(1);
+  ScenarioRun run;
+  ScenarioError err;
+  ASSERT_TRUE(ExpandScenario(scenario, QuietOptions(), &run, &err)) << err.Join();
+  for (const Job& job : run.jobs) {
+    EXPECT_FALSE(job.config.record_latency);
+  }
+
+  scenario.table.style = TableSpec::Style::kWakeup;
+  scenario.has_config = true;
+  ASSERT_TRUE(JsonParse(R"({"record_latency":false})", &scenario.config));
+  ASSERT_TRUE(ExpandScenario(scenario, QuietOptions(), &run, &err)) << err.Join();
+  for (const Job& job : run.jobs) {
+    EXPECT_TRUE(job.config.record_latency);
+  }
+  ExecuteScenario(&run);
+  const RepeatedResult& nest = run.result(0, 0, 1, 0);
+  ASSERT_FALSE(nest.runs.empty());
+  EXPECT_GT(nest.runs[0].p99_wakeup_latency_us, 0.0);
+}
+
 TEST(ScenarioRunnerTest, SweepCrossProductAndLabels) {
   Scenario scenario = SmokeScenario();
   scenario.machines = {"intel-5218-2s"};

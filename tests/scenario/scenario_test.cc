@@ -214,8 +214,9 @@ TEST(ScenarioParseTest, FaultAndPowerOverridesAreValidated) {
   // The fault/replica/budget family (docs/FAULTS.md §8) rides the same
   // override table as every other key: accepted in config and sweep, range-
   // checked per value, unknown spellings rejected with the known-keys list.
+  // Replication is a fleet feature, so the spec that sets it has a cluster.
   const Scenario ok = MustParse(R"({
-    "name":"t","workload":{"family":"nas"},
+    "name":"t","workload":{"family":"requests"},"cluster":{"machines":1},
     "config":{"fault.core_fail_rate_per_s":20.0,"fault.core_downtime_ms":30.0,
               "fault.machine_fail_rate_per_s":1.0,"fault.machine_downtime_ms":50.0,
               "fault.horizon_s":10.0,"replicas":2,"fault.quorum":1,
@@ -238,6 +239,19 @@ TEST(ScenarioParseTest, FaultAndPowerOverridesAreValidated) {
     "config":{"replicas":0}
   })");
   EXPECT_TRUE(Mentions(replicas, "expects integer in [1, 16]")) << replicas.Join();
+
+  // Without a "cluster" block, replicas above 1 are refused, in config or in
+  // any sweep value, and the message points to the one-machine fleet.
+  for (const char* single : {R"({"name":"t","workload":{"family":"requests"},
+                                 "config":{"replicas":2}})",
+                             R"({"name":"t","workload":{"family":"requests"},
+                                 "sweep":{"replicas":[1,3]}})"}) {
+    const ScenarioError refused = MustFail(single);
+    EXPECT_TRUE(Mentions(refused, "\"replicas\" above 1 needs a \"cluster\" block"))
+        << refused.Join();
+    EXPECT_TRUE(Mentions(refused, "\"cluster\": {\"machines\": 1}")) << refused.Join();
+  }
+  MustParse(R"({"name":"t","workload":{"family":"nas"},"config":{"replicas":1}})");
 
   const ScenarioError headroom = MustFail(R"({
     "name":"t","workload":{"family":"nas"},
@@ -322,6 +336,18 @@ TEST(ScenarioParseTest, ClusterRequiresTheRequestsFamily) {
   })");
   EXPECT_TRUE(Mentions(err, "requests")) << err.Join();
   EXPECT_TRUE(Mentions(err, "configure")) << err.Join();
+}
+
+// The latency table prints fleet request latency, which only a cluster run
+// fills; without a "cluster" block every row would print zeros.
+TEST(ScenarioParseTest, LatencyTableNeedsACluster) {
+  const ScenarioError err = MustFail(R"({
+    "name":"t","workload":{"family":"requests"},"table":{"style":"latency"}
+  })");
+  EXPECT_TRUE(Mentions(err, "test/table: style \"latency\" needs a \"cluster\" block"))
+      << err.Join();
+  MustParse(R"({"name":"t","workload":{"family":"requests"},"cluster":{"machines":1},
+                "table":{"style":"latency"}})");
 }
 
 TEST(ScenarioParseTest, ApplyConfigOverrideTouchesTheConfig) {

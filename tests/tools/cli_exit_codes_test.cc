@@ -207,6 +207,26 @@ TEST(NestsimRunCliTest, InvalidClusterKeyNamesTheJsonPath) {
   EXPECT_NE(result.output.find("roter"), std::string::npos) << result.output;
 }
 
+// Only a fleet replicates requests: a single-machine scenario asking for
+// replicas is refused before it runs, and the diagnostic names the key and
+// the "cluster" block that would carry it.
+TEST(NestsimRunCliTest, SingleMachineReplicasAreRefused) {
+  const std::string path = testing::TempDir() + "nestsim_cli_one_box.json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(R"({"name":"one-box","machines":["amd-4650g-1s"],
+                 "variants":[{"label":"cfs","scheduler":"cfs","governor":"schedutil"}],
+                 "workload":{"family":"requests"},
+                 "config":{"replicas":2}})",
+             f);
+  std::fclose(f);
+  const CliResult result = RunCommand(kRun + " " + path);
+  std::remove(path.c_str());
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("\"replicas\""), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("\"cluster\""), std::string::npos) << result.output;
+}
+
 TEST(NestsimRunCliTest, PrintJobsLabelsClusterScenarios) {
   const std::string path = "/tmp/nestsim_cli_cluster_jobs.json";
   std::FILE* f = std::fopen(path.c_str(), "w");

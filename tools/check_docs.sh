@@ -37,7 +37,9 @@
 #      exported feature column and per-core suffix (the kFeatureColumns /
 #      kPerCoreColumnSuffixes initializers in src/predict/features.h) is
 #      documented there, and so is every predict.* config key the scenario
-#      engine accepts.
+#      engine accepts;
+#  16. every table style the scenario parser accepts (ParseTable's
+#      TakeEnum("style", ...) list) appears backticked in docs/SCENARIOS.md.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -269,6 +271,21 @@ for key in $(grep -ohE '\{"predict\.[a-z_]+", "(bool|string|number|integer)' \
                src/scenario/scenario.cc | sed 's/{"//; s/".*//' | sort -u); do
   if ! grep -q "\`$key\`" docs/PREDICTION.md; then
     echo "FAIL: predict config key '$key' is accepted by src/scenario/ but not documented in docs/PREDICTION.md"
+    fail=1
+  fi
+done
+
+# 16. Every table style ParseTable accepts is documented in docs/SCENARIOS.md.
+styles=$(sed -n '/^void ParseTable/,/^}/p' src/scenario/scenario.cc | tr '\n' ' ' \
+           | grep -oE 'TakeEnum\("style", &style, *\{[^}]*\}' | sed 's/.*{//' \
+           | grep -oE '"[a-z_]+"' | sed 's/"//g' | sort -u)
+if [ -z "$styles" ]; then
+  echo "FAIL: no table style found in ParseTable's TakeEnum(\"style\", ...) (src/scenario/scenario.cc)"
+  fail=1
+fi
+for style in $styles; do
+  if ! grep -q "\`$style\`" docs/SCENARIOS.md; then
+    echo "FAIL: table style '$style' is accepted by ParseTable but not documented in docs/SCENARIOS.md"
     fail=1
   fi
 done
